@@ -1,16 +1,21 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the emulation substrate: float
- * codec encode/decode throughput, FMA datapaths, chunked
- * accumulation, quantizers, the reduced-precision GEMM executors,
- * the cycle-level systolic simulator, and the ring interconnect.
+ * codec throughput (the generic codec against the inline DLFloat16
+ * rounding, scalar FP8 decode against the decode LUT), FMA datapaths,
+ * chunked accumulation, quantizers, the reduced-precision GEMM
+ * executors, the cycle-level systolic simulator, and the ring
+ * interconnect.
  */
+
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "common/random.hh"
 #include "func/quantized_ops.hh"
 #include "interconnect/mni.hh"
+#include "precision/decode_lut.hh"
 #include "sim/systolic.hh"
 
 namespace rapid {
@@ -29,17 +34,75 @@ BM_DlFloat16Quantize(benchmark::State &state)
 }
 BENCHMARK(BM_DlFloat16Quantize);
 
+/** The inline rounding the hot paths use; same inputs as above. */
 void
-BM_Fp8EncodeDecode(benchmark::State &state)
+BM_DlFloat16QuantizeFast(benchmark::State &state)
 {
-    FloatFormat fmt = fp8e4m3(4);
-    Rng rng(2);
+    Rng rng(1);
     auto values = rng.gaussianVector(4096);
     size_t i = 0;
     for (auto _ : state)
-        benchmark::DoNotOptimize(fmt.quantize(values[i++ & 4095]));
+        benchmark::DoNotOptimize(quantizeDl16(values[i++ & 4095]));
 }
-BENCHMARK(BM_Fp8EncodeDecode);
+BENCHMARK(BM_DlFloat16QuantizeFast);
+
+/**
+ * FP8 quantize pair: the same Laplace-shaped buffer (typical of
+ * trained weights) through every 8-bit format the datapath uses, each
+ * programmable forward bias plus the backward format. The scalar half
+ * decodes with the bit-manipulation codec, the LUT half through the
+ * 256-entry Fp8DecodeLut; the two are bit-identical (pinned by
+ * tests/test_float_format.cc).
+ */
+std::vector<float>
+fp8Buffer()
+{
+    Rng rng(0xf8dec0deULL);
+    std::vector<float> buf(4096);
+    for (float &v : buf)
+        v = float(rng.laplace(0.5));
+    return buf;
+}
+
+std::vector<FloatFormat>
+fp8Formats()
+{
+    std::vector<FloatFormat> formats;
+    for (int bias = 1; bias <= 15; ++bias)
+        formats.push_back(fp8e4m3(bias));
+    formats.push_back(fp8e5m2());
+    return formats;
+}
+
+template <typename Quantizer>
+void
+runFp8Quantize(benchmark::State &state, const std::vector<Quantizer> &qs)
+{
+    const std::vector<float> buf = fp8Buffer();
+    for (auto _ : state)
+        for (const Quantizer &q : qs)
+            for (float v : buf)
+                benchmark::DoNotOptimize(q.quantize(v));
+    state.SetItemsProcessed(state.iterations() *
+                            int64_t(qs.size() * buf.size()));
+}
+
+void
+BM_Fp8QuantizeScalar(benchmark::State &state)
+{
+    runFp8Quantize(state, fp8Formats());
+}
+BENCHMARK(BM_Fp8QuantizeScalar);
+
+void
+BM_Fp8QuantizeLut(benchmark::State &state)
+{
+    std::vector<Fp8DecodeLut> luts;
+    for (const FloatFormat &fmt : fp8Formats())
+        luts.emplace_back(fmt);
+    runFp8Quantize(state, luts);
+}
+BENCHMARK(BM_Fp8QuantizeLut);
 
 void
 BM_Hfp8Fma(benchmark::State &state)

@@ -1,5 +1,6 @@
 #include "func/quantized_ops.hh"
 
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -45,7 +46,80 @@ chunkedDot(const float *a, const float *b, int64_t n,
                         "non-finite chunked dot product over ", n,
                         " elements: a poisoned operand reached the "
                         "training accumulation");
-    return dlfloat16().quantize(acc.total(), cfg.rounding);
+    return quantizeDl16(acc.total(), cfg.rounding);
+}
+
+/** Output columns one pass of chunkedMatmul accumulates side by side. */
+constexpr int64_t kLanes = 8;
+
+/**
+ * Chunked-accumulation GEMM of prepared operands @p qa (M,K) and
+ * @p qb (K,N), bit-identical to chunkedDot per output. Each row runs
+ * kLanes output columns at a time, like the MPE array's one serial
+ * accumulator per PE: every lane is its own ChunkAccumulator, fed in
+ * the original k order and zero-gated on its own operands, so lanes
+ * fill their chunks independently. The lanes' rounding chains are
+ * independent, so they overlap where one serial dot would stall.
+ *
+ * A tail of fewer than kLanes columns runs through chunkedDot. So
+ * does a whole lane group that saw a non-finite product: replaying it
+ * in column order raises the same NumericFault, from the same output,
+ * that the per-output loop would.
+ */
+Tensor
+chunkedMatmul(const Tensor &qa, const Tensor &qb, const ExecConfig &cfg)
+{
+    const int64_t m = qa.dim(0), k = qa.dim(1), n = qb.dim(1);
+    rapid_assert(qb.dim(0) == k, "matmul inner-dimension mismatch");
+    Tensor out({m, n});
+    const float *b = qb.data();
+    std::array<ChunkAccumulator, kLanes> lanes;
+    lanes.fill(ChunkAccumulator(cfg.chunk_size, cfg.fp32_outer,
+                                cfg.rounding));
+    std::vector<float> column(size_t(k), 0.0f);
+    auto column_dot = [&](const float *a_row, int64_t j) {
+        for (int64_t kk = 0; kk < k; ++kk)
+            column[size_t(kk)] = b[kk * n + j];
+        return chunkedDot(a_row, column.data(), k, cfg);
+    };
+
+    const int64_t n_laned = n - n % kLanes;
+    for (int64_t i = 0; i < m; ++i) {
+        const float *a_row = qa.data() + i * k;
+        float *out_row = out.data() + i * n;
+        for (int64_t j0 = 0; j0 < n_laned; j0 += kLanes) {
+            for (ChunkAccumulator &acc : lanes)
+                acc.reset();
+            bool poisoned = false;
+            for (int64_t kk = 0; kk < k; ++kk) {
+                if (a_row[kk] == 0.0f)
+                    continue; // gates every lane of this k step
+                const double a = double(a_row[kk]);
+                const float *b_lanes = b + kk * n + j0;
+                for (int64_t l = 0; l < kLanes; ++l) {
+                    if (b_lanes[l] == 0.0f)
+                        continue;
+                    const double term = a * double(b_lanes[l]);
+                    if (!std::isfinite(term)) {
+                        poisoned = true; // replayed below
+                        continue;
+                    }
+                    lanes[size_t(l)].add(term);
+                }
+            }
+            for (int64_t l = 0; l < kLanes; ++l) {
+                const float total = lanes[size_t(l)].total();
+                poisoned = poisoned || !std::isfinite(total);
+                out_row[j0 + l] = quantizeDl16(total, cfg.rounding);
+            }
+            if (poisoned)
+                for (int64_t j = j0; j < j0 + kLanes; ++j)
+                    out_row[j] = column_dot(a_row, j);
+        }
+        for (int64_t j = n_laned; j < n; ++j)
+            out_row[j] = column_dot(a_row, j);
+    }
+    return out;
 }
 
 /** Gather a conv receptive field into contiguous operand vectors. */
@@ -82,12 +156,25 @@ gatherPatch(const Tensor &input, const T &weight_like, int64_t in_n,
     }
 }
 
-Tensor
-quantizeWith(const Tensor &t, const FloatFormat &fmt, Rounding rounding)
+/**
+ * The decode table of an FP8 flavour: one static table per (kind,
+ * bias), built on first use. fp8e4m3() validates the bias before it
+ * selects a table.
+ */
+const Fp8DecodeLut &
+fp8Lut(Fp8Kind kind, int fwd_bias)
 {
-    Tensor out = t;
-    out.apply([&](float v) { return fmt.quantize(v, rounding); });
-    return out;
+    static const Fp8DecodeLut backward(fp8e5m2());
+    if (kind == Fp8Kind::Backward)
+        return backward;
+    const FloatFormat fmt = fp8e4m3(fwd_bias);
+    static const std::vector<Fp8DecodeLut> forward = [] {
+        std::vector<Fp8DecodeLut> luts;
+        for (int bias = 1; bias <= 15; ++bias)
+            luts.emplace_back(fp8e4m3(bias));
+        return luts;
+    }();
+    return forward[size_t(fmt.bias() - 1)];
 }
 
 } // namespace
@@ -95,12 +182,9 @@ quantizeWith(const Tensor &t, const FloatFormat &fmt, Rounding rounding)
 Tensor
 quantizeTensorFp8(const Tensor &t, Fp8Kind kind, const ExecConfig &cfg)
 {
-    // Tabulated decode: one scalar decode per encoding to fill the
-    // 256-entry table, then a lookup per element instead of the full
+    // Tabulated decode: a lookup per element instead of the full
     // bit-manipulation decode (bit-identical; see decode_lut.hh).
-    const Fp8DecodeLut lut((kind == Fp8Kind::Forward)
-                               ? fp8e4m3(cfg.fwd_bias)
-                               : fp8e5m2());
+    const Fp8DecodeLut &lut = fp8Lut(kind, cfg.fwd_bias);
     Tensor out = t;
     out.apply([&](float v) { return lut.quantize(v, cfg.rounding); });
     return out;
@@ -109,21 +193,16 @@ quantizeTensorFp8(const Tensor &t, Fp8Kind kind, const ExecConfig &cfg)
 Tensor
 quantizeTensorFp16(const Tensor &t, Rounding rounding)
 {
-    return quantizeWith(t, dlfloat16(), rounding);
+    Tensor out = t;
+    out.apply([&](float v) { return quantizeDl16(v, rounding); });
+    return out;
 }
 
 Tensor
 fp16Matmul(const Tensor &a, const Tensor &b, const ExecConfig &cfg)
 {
-    Tensor qa = quantizeTensorFp16(a, cfg.rounding);
-    Tensor qbt = transpose(quantizeTensorFp16(b, cfg.rounding));
-    const int64_t m = qa.dim(0), k = qa.dim(1), n = qbt.dim(0);
-    Tensor out({m, n});
-    for (int64_t i = 0; i < m; ++i)
-        for (int64_t j = 0; j < n; ++j)
-            out.at(i, j) = chunkedDot(qa.data() + i * k,
-                                      qbt.data() + j * k, k, cfg);
-    return out;
+    return chunkedMatmul(quantizeTensorFp16(a, cfg.rounding),
+                         quantizeTensorFp16(b, cfg.rounding), cfg);
 }
 
 Tensor
@@ -132,15 +211,8 @@ hfp8Matmul(const Tensor &a, Fp8Kind a_kind, const Tensor &b,
 {
     // Quantize each operand tensor once (the FP8 -> FP9 input stage is
     // exact, so the FP8 value is what the multiplier sees).
-    Tensor qa = quantizeTensorFp8(a, a_kind, cfg);
-    Tensor qbt = transpose(quantizeTensorFp8(b, b_kind, cfg));
-    const int64_t m = qa.dim(0), k = qa.dim(1), n = qbt.dim(0);
-    Tensor out({m, n});
-    for (int64_t i = 0; i < m; ++i)
-        for (int64_t j = 0; j < n; ++j)
-            out.at(i, j) = chunkedDot(qa.data() + i * k,
-                                      qbt.data() + j * k, k, cfg);
-    return out;
+    return chunkedMatmul(quantizeTensorFp8(a, a_kind, cfg),
+                         quantizeTensorFp8(b, b_kind, cfg), cfg);
 }
 
 Tensor
@@ -219,8 +291,7 @@ intChunkedDot(const int *a_levels, const int *b_levels, int64_t n,
     }
     if (in_chunk)
         outer += double(saturateToInt16(chunk_acc));
-    return dlfloat16().quantize(float(outer * double(scale)),
-                                cfg.rounding);
+    return quantizeDl16(float(outer * double(scale)), cfg.rounding);
 }
 
 std::vector<int>

@@ -123,11 +123,11 @@ applySfu(const Tensor &x, SfuMode mode, Fast fast, Accurate accurate)
     Tensor out = x;
     if (mode == SfuMode::Fast)
         out.apply([&](float v) {
-            return dlfloat16().quantize(fast(v));
+            return quantizeDl16(fast(v));
         });
     else
         out.apply([&](float v) {
-            return dlfloat16().quantize(float(accurate(double(v))));
+            return quantizeDl16(float(accurate(double(v))));
         });
     return out;
 }
@@ -200,8 +200,7 @@ sfuSoftmax(const Tensor &x, SfuMode mode)
                               ? sfu::fastReciprocal(float(sum))
                               : float(1.0 / sum);
         for (int64_t j = 0; j < x.dim(1); ++j)
-            out.at(i, j) =
-                dlfloat16().quantize(out.at(i, j) * inv);
+            out.at(i, j) = quantizeDl16(out.at(i, j) * inv);
     }
     return out;
 }

@@ -11,8 +11,10 @@
 #ifndef RAPID_PRECISION_CHUNK_ACCUMULATOR_HH
 #define RAPID_PRECISION_CHUNK_ACCUMULATOR_HH
 
+#include <cmath>
 #include <cstddef>
 
+#include "common/logging.hh"
 #include "precision/float_format.hh"
 
 namespace rapid {
@@ -21,6 +23,12 @@ namespace rapid {
  * Two-level chunked accumulator. The intra-chunk level models the MPE
  * FP16 accumulator; the inter-chunk level models the SFU reduction,
  * which can run in FP16 or FP32.
+ *
+ * Each accumulate rounds twice: the exact double sum first rounds to
+ * float32 (nearest-even), and that float then rounds to DLFloat16 in
+ * the configured mode. This is not a single fused rounding: when the
+ * float32 step lands exactly on a DLFloat16 tie, the second rounding
+ * can go the other way (the test suite pins one such case).
  */
 class ChunkAccumulator
 {
@@ -36,8 +44,23 @@ class ChunkAccumulator
                               bool fp32_outer = true,
                               Rounding rounding = Rounding::NearestEven);
 
-    /** Add one (already exact) product term. */
-    void add(double term);
+    /** Add one (already exact, finite) product term. */
+    void
+    add(double term)
+    {
+        rapid_dassert(std::isfinite(term),
+                      "non-finite term ", term, " fed to the accumulator");
+        rapid_dassert(inChunk_ < chunkSize_,
+                      "chunk fill ", inChunk_, " overran size ", chunkSize_);
+        // The MPE accumulator holds DLFloat16; each accumulate rounds
+        // (double -> float32 -> DLFloat16, see the class comment).
+        chunkAcc_ = quantizeDl16(float(double(chunkAcc_) + term), rounding_);
+        if (++inChunk_ == chunkSize_) {
+            outerAcc_ = foldOuter(outerAcc_, chunkAcc_);
+            chunkAcc_ = 0.0f;
+            inChunk_ = 0;
+        }
+    }
 
     /** Total with the current partial chunk folded in. */
     float total() const;
@@ -55,7 +78,13 @@ class ChunkAccumulator
                               Rounding rounding = Rounding::NearestEven);
 
   private:
-    float foldOuter(float outer, float chunk) const;
+    float
+    foldOuter(float outer, float chunk) const
+    {
+        if (fp32Outer_)
+            return outer + chunk; // SFU FP32 add: exact at this scale
+        return quantizeDl16(outer + chunk, rounding_);
+    }
 
     size_t chunkSize_;
     bool fp32Outer_;

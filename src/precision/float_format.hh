@@ -21,7 +21,9 @@
 #ifndef RAPID_PRECISION_FLOAT_FORMAT_HH
 #define RAPID_PRECISION_FLOAT_FORMAT_HH
 
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace rapid {
@@ -115,6 +117,59 @@ class FloatFormat
 
 /** DLFloat16 (1,6,9), bias 31, no subnormals, merged NaN/Inf. */
 const FloatFormat &dlfloat16();
+
+/**
+ * Fast DLFloat16 rounding: bit-identical to
+ * `dlfloat16().quantize(value, mode)` for every float32 input and
+ * every mode, without the generic codec's bit loops and
+ * double-precision rebuild (tests/test_float_format.cc pins the two
+ * together). This is the only DLFloat16 rounding the code runs; the
+ * generic codec stays as its oracle and for callers that need the
+ * encoded bit pattern.
+ *
+ * A DLFloat16 value is a float32 whose low 14 mantissa bits are zero,
+ * so rounding works on the float32 magnitude bits directly: add the
+ * mode's rounding bias (a mantissa carry renormalizes the exponent on
+ * its own) and clear the dropped bits. Three cases then remain:
+ *   - magnitudes at or below 2^-31 flush to a signed zero (there are
+ *     no subnormals, and the pattern (e=0, m=0) reads as zero);
+ *   - magnitudes above the largest finite value saturate to
+ *     (e=62, m=511);
+ *   - Inf and NaN inputs map to the merged NaN symbol (quiet NaN).
+ */
+inline float
+quantizeDl16(float value, Rounding mode = Rounding::NearestEven)
+{
+    constexpr unsigned kDropBits = 23 - 9;
+    constexpr uint32_t kDropMask = (uint32_t(1) << kDropBits) - 1;
+    constexpr uint32_t kSignBit = uint32_t(1) << 31;
+    constexpr uint32_t kFloatInf = uint32_t(0xff) << 23;
+    constexpr uint32_t kFlushAtOrBelow = uint32_t(127 - 31) << 23;
+    constexpr uint32_t kMaxFinite =
+        (uint32_t(127 + 31) << 23) | (uint32_t(0x1ff) << kDropBits);
+
+    const uint32_t in = std::bit_cast<uint32_t>(value);
+    const uint32_t sign = in & kSignBit;
+    uint32_t mag = in & ~kSignBit;
+    if (mag >= kFloatInf)
+        return std::numeric_limits<float>::quiet_NaN();
+    switch (mode) {
+      case Rounding::NearestEven:
+        mag += (kDropMask >> 1) + ((mag >> kDropBits) & 1);
+        break;
+      case Rounding::NearestUp:
+        mag += uint32_t(1) << (kDropBits - 1);
+        break;
+      case Rounding::Truncate:
+        break;
+    }
+    mag &= ~kDropMask;
+    if (mag <= kFlushAtOrBelow)
+        mag = 0;
+    else if (mag > kMaxFinite)
+        mag = kMaxFinite;
+    return std::bit_cast<float>(sign | mag);
+}
 
 /** HFP8 forward format FP8 (1,4,3) with the given exponent bias. */
 FloatFormat fp8e4m3(int bias = 4);

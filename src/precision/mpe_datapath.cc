@@ -33,7 +33,7 @@ MpeDatapath::setForwardBias(int fwd_bias)
 float
 MpeDatapath::roundFp16(float value) const
 {
-    return dlfloat16().quantize(value, rounding_);
+    return quantizeDl16(value, rounding_);
 }
 
 float
@@ -45,8 +45,9 @@ MpeDatapath::fp16Fma(float a, float b, float acc)
         return acc; // zero-gating: pass the addend through
     }
     // DLFloat16 significands are 10 bits, so the product's 20-bit
-    // significand and the subsequent sum are exact in double; a single
-    // rounding models the fused accumulate output.
+    // significand is exact in double. The accumulate output rounds
+    // twice, double -> float32 -> DLFloat16, like ChunkAccumulator::add;
+    // that is not a single fused rounding (see chunk_accumulator.hh).
     double product = double(a) * double(b);
     return roundFp16(float(product + double(acc)));
 }

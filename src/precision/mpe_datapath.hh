@@ -55,10 +55,10 @@ class MpeDatapath
     int forwardBias() const { return fwdBias_; }
 
     /**
-     * FP16 FMA: returns round_fp16(a * b + acc). All three values are
-     * DLFloat16-representable floats; the product is formed exactly
-     * (18-bit significand fits single precision... the emulation uses
-     * double) and a single rounding happens at the accumulate output.
+     * FP16 FMA: returns round_fp16(float(a * b + acc)). All three
+     * values are DLFloat16-representable floats; the product is formed
+     * exactly in double. The accumulate output rounds twice, to
+     * float32 and then to DLFloat16, matching ChunkAccumulator::add.
      */
     float fp16Fma(float a, float b, float acc);
 

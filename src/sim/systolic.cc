@@ -120,10 +120,9 @@ SystolicArraySim::gemm(const Tensor &a, const Tensor &b, Fp8Kind a_kind,
                             acc = dp.hfp8Fma(a.at(mi, ki), a_kind,
                                              b.at(ki, ni), b_kind, acc);
                         } else {
-                            acc = dp.fp16Fma(
-                                dlfloat16().quantize(a.at(mi, ki)),
-                                dlfloat16().quantize(b.at(ki, ni)),
-                                acc);
+                            acc = dp.fp16Fma(quantizeDl16(a.at(mi, ki)),
+                                             quantizeDl16(b.at(ki, ni)),
+                                             acc);
                         }
                     }
                     // Fault site: the accumulator value leaving the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 namespace rapid {
 
@@ -72,13 +73,22 @@ matmul(const Tensor &a, const Tensor &b)
     rapid_assert(b.dim(0) == k, "matmul inner-dimension mismatch");
     const int64_t n = b.dim(1);
     Tensor out({m, n});
+    // i-k-j order over a double row accumulator: every output still
+    // sums its exact float*float products in k order from 0.0, so the
+    // result matches the textbook i-j-k dot product bit for bit.
+    std::vector<double> acc(size_t(n), 0.0);
     for (int64_t i = 0; i < m; ++i) {
-        for (int64_t j = 0; j < n; ++j) {
-            double acc = 0.0;
-            for (int64_t kk = 0; kk < k; ++kk)
-                acc += double(a.at(i, kk)) * double(b.at(kk, j));
-            out.at(i, j) = float(acc);
+        std::fill(acc.begin(), acc.end(), 0.0);
+        const float *a_row = a.data() + i * k;
+        for (int64_t kk = 0; kk < k; ++kk) {
+            const double av = double(a_row[kk]);
+            const float *b_row = b.data() + kk * n;
+            for (int64_t j = 0; j < n; ++j)
+                acc[size_t(j)] += av * double(b_row[j]);
         }
+        float *out_row = out.data() + i * n;
+        for (int64_t j = 0; j < n; ++j)
+            out_row[j] = float(acc[size_t(j)]);
     }
     return out;
 }
@@ -87,10 +97,13 @@ Tensor
 transpose(const Tensor &a)
 {
     rapid_assert(a.rank() == 2, "transpose expects rank-2");
-    Tensor out({a.dim(1), a.dim(0)});
-    for (int64_t i = 0; i < a.dim(0); ++i)
-        for (int64_t j = 0; j < a.dim(1); ++j)
-            out.at(j, i) = a.at(i, j);
+    const int64_t rows = a.dim(0), cols = a.dim(1);
+    Tensor out({cols, rows});
+    const float *src = a.data();
+    float *dst = out.data();
+    for (int64_t i = 0; i < rows; ++i)
+        for (int64_t j = 0; j < cols; ++j)
+            dst[j * rows + i] = src[i * cols + j];
     return out;
 }
 

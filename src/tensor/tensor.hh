@@ -9,6 +9,7 @@
 #ifndef RAPID_TENSOR_TENSOR_HH
 #define RAPID_TENSOR_TENSOR_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <vector>
@@ -41,16 +42,25 @@ class Tensor
     std::vector<float> &storage() { return data_; }
     const std::vector<float> &storage() const { return data_; }
 
-    float &operator[](int64_t i);
-    float operator[](int64_t i) const;
+    float &operator[](int64_t i) { return data_[flatIndex(i)]; }
+    float operator[](int64_t i) const { return data_[flatIndex(i)]; }
 
     /** Rank-2 element access. */
-    float &at(int64_t i, int64_t j);
-    float at(int64_t i, int64_t j) const;
+    float &at(int64_t i, int64_t j) { return data_[flatIndex2(i, j)]; }
+    float at(int64_t i, int64_t j) const { return data_[flatIndex2(i, j)]; }
 
     /** Rank-4 element access (NCHW). */
-    float &at(int64_t n, int64_t c, int64_t h, int64_t w);
-    float at(int64_t n, int64_t c, int64_t h, int64_t w) const;
+    float &
+    at(int64_t n, int64_t c, int64_t h, int64_t w)
+    {
+        return data_[flatIndex4(n, c, h, w)];
+    }
+
+    float
+    at(int64_t n, int64_t c, int64_t h, int64_t w) const
+    {
+        return data_[flatIndex4(n, c, h, w)];
+    }
 
     /** Reinterpret with a new shape of identical element count. */
     Tensor reshaped(std::vector<int64_t> new_shape) const;
@@ -79,7 +89,39 @@ class Tensor
     double zeroFraction() const;
 
   private:
-    int64_t flatIndex4(int64_t n, int64_t c, int64_t h, int64_t w) const;
+    size_t
+    flatIndex(int64_t i) const
+    {
+        rapid_assert(i >= 0 && i < numel_, "flat index ", i, " out of ",
+                     numel_);
+        return size_t(i);
+    }
+
+    size_t
+    flatIndex2(int64_t i, int64_t j) const
+    {
+        rapid_assert(rank() == 2, "rank-2 access on rank-", rank());
+        rapid_bounds_check(i >= 0 && i < shape_[0] && j >= 0
+                               && j < shape_[1],
+                           "index (", i, ",", j, ") out of shape (",
+                           shape_[0], ",", shape_[1], ")");
+        return size_t(i * shape_[1] + j);
+    }
+
+    size_t
+    flatIndex4(int64_t n, int64_t c, int64_t h, int64_t w) const
+    {
+        rapid_assert(rank() == 4, "rank-4 access on rank-", rank());
+        rapid_bounds_check(n >= 0 && n < shape_[0] && c >= 0
+                               && c < shape_[1] && h >= 0
+                               && h < shape_[2] && w >= 0
+                               && w < shape_[3],
+                           "index (", n, ",", c, ",", h, ",", w,
+                           ") out of shape (", shape_[0], ",", shape_[1],
+                           ",", shape_[2], ",", shape_[3], ")");
+        return size_t(((n * shape_[1] + c) * shape_[2] + h) * shape_[3]
+                      + w);
+    }
 
     std::vector<int64_t> shape_;
     int64_t numel_ = 0;

@@ -6,8 +6,12 @@
  * stage is exact (Section III-A.2).
  */
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -462,6 +466,121 @@ TEST(DecodeLut, RejectsNonEightBitFormats)
 {
     EXPECT_THROW(Fp8DecodeLut{dlfloat16()}, Error);
     EXPECT_THROW(Fp8DecodeLut{fp9()}, Error);
+}
+
+
+// ---------------------------------------------------------------------
+// quantizeDl16: the inline fast path, pinned bit for bit to the
+// generic codec (dlfloat16().quantize) in every rounding mode.
+// ---------------------------------------------------------------------
+
+constexpr Rounding kAllModes[] = {Rounding::NearestEven,
+                                  Rounding::NearestUp, Rounding::Truncate};
+
+/** Count (and report the first few) fast-vs-codec mismatches for the
+ *  float32 bit pattern @p bits in every rounding mode. */
+void
+expectFastMatchesCodec(uint32_t bits, int &mismatches)
+{
+    const float x = std::bit_cast<float>(bits);
+    for (Rounding mode : kAllModes) {
+        const uint32_t codec =
+            std::bit_cast<uint32_t>(dlfloat16().quantize(x, mode));
+        const uint32_t fast = std::bit_cast<uint32_t>(quantizeDl16(x, mode));
+        if (codec != fast && ++mismatches <= 8) {
+            ADD_FAILURE() << "input 0x" << std::hex << bits << " mode "
+                          << int(mode) << ": codec 0x" << codec
+                          << ", fast 0x" << fast;
+        }
+    }
+}
+
+/**
+ * Every DLFloat16 value, both signs, plus its float32 neighbours at
+ * +-1 ulp, at the DLFloat16 half-ulp tie points (+-2^13 in float32
+ * magnitude bits), and +-1 float32 ulp around each tie.
+ */
+TEST(QuantizeDl16, MatchesCodecAroundEveryDlFloat16Value)
+{
+    constexpr int64_t kHalf = int64_t(1) << 13;
+    constexpr int64_t kOffsets[] = {0,         1,          -1,
+                                    kHalf,     kHalf - 1,  kHalf + 1,
+                                    -kHalf,    -kHalf - 1, -kHalf + 1};
+    int mismatches = 0;
+    for (uint32_t p = 0; p < dlfloat16().numEncodings(); ++p) {
+        const float v = dlfloat16().decode(p);
+        if (std::isnan(v))
+            continue; // the NaN symbol; NaN inputs are checked below
+        const uint32_t bits = std::bit_cast<uint32_t>(v);
+        const int64_t mag = int64_t(bits & 0x7fffffffu);
+        const uint32_t sign = bits & 0x80000000u;
+        for (int64_t off : kOffsets) {
+            const int64_t m = mag + off;
+            if (m < 0 || m > 0x7fffffff)
+                continue;
+            expectFastMatchesCodec(sign | uint32_t(m), mismatches);
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+/** The flush (2^-31) and saturate boundaries and the special inputs. */
+TEST(QuantizeDl16, FlushSaturateAndSpecialBoundaries)
+{
+    const float flush = std::ldexp(1.0f, -31);
+    const float min_normal = dlfloat16().minNormal();
+    const float max_finite = dlfloat16().maxFinite();
+    const float inf = std::numeric_limits<float>::infinity();
+    const float probes[] = {
+        0.0f, std::numeric_limits<float>::denorm_min(),
+        std::numeric_limits<float>::min(), std::ldexp(1.0f, -32),
+        std::nextafter(flush, 0.0f), flush, std::nextafter(flush, inf),
+        (flush + min_normal) / 2.0f,
+        std::nextafter((flush + min_normal) / 2.0f, 0.0f),
+        std::nextafter((flush + min_normal) / 2.0f, inf),
+        std::nextafter(min_normal, 0.0f), min_normal,
+        std::nextafter(max_finite, 0.0f), max_finite,
+        std::nextafter(max_finite, inf),
+        max_finite + std::ldexp(1.0f, 31 - 10),
+        std::ldexp(1.0f, 32), std::numeric_limits<float>::max(), inf,
+        std::numeric_limits<float>::quiet_NaN(),
+        std::numeric_limits<float>::signaling_NaN()};
+    int mismatches = 0;
+    for (float v : probes) {
+        expectFastMatchesCodec(std::bit_cast<uint32_t>(v), mismatches);
+        expectFastMatchesCodec(std::bit_cast<uint32_t>(-v), mismatches);
+    }
+    EXPECT_EQ(mismatches, 0);
+
+    // The three special cases, stated directly.
+    EXPECT_EQ(quantizeDl16(flush), 0.0f);
+    EXPECT_TRUE(std::signbit(quantizeDl16(-flush)));
+    // Halfway between 2^-31 and the smallest normal: ties-away reaches
+    // the normal, ties-to-even lands on (e=0, m=0) and flushes.
+    const float tie = (flush + min_normal) / 2.0f;
+    EXPECT_EQ(quantizeDl16(tie, Rounding::NearestUp), min_normal);
+    EXPECT_EQ(quantizeDl16(tie, Rounding::NearestEven), 0.0f);
+    EXPECT_EQ(quantizeDl16(std::numeric_limits<float>::max()), max_finite);
+    EXPECT_TRUE(std::isnan(quantizeDl16(-inf)));
+    EXPECT_TRUE(std::isnan(
+        quantizeDl16(std::numeric_limits<float>::quiet_NaN())));
+}
+
+/**
+ * A strided sweep of the whole float32 space. The stride is an odd
+ * prime, so the sampled patterns cover every residue of the 14 dropped
+ * mantissa bits. RAPID_DL16_SWEEP_STRIDE=1 runs the exhaustive
+ * 2^32 x 3-mode sweep (minutes, not part of the default budget).
+ */
+TEST(QuantizeDl16, MatchesCodecOnStridedFloat32Sweep)
+{
+    uint64_t stride = 4093;
+    if (const char *env = std::getenv("RAPID_DL16_SWEEP_STRIDE"))
+        stride = std::max<uint64_t>(1, std::strtoull(env, nullptr, 10));
+    int mismatches = 0;
+    for (uint64_t bits = 0; bits <= 0xffffffffu; bits += stride)
+        expectFastMatchesCodec(uint32_t(bits), mismatches);
+    EXPECT_EQ(mismatches, 0);
 }
 
 } // namespace

@@ -6,10 +6,14 @@
  * (Sections II-B and II-C).
  */
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
 #include "func/datasets.hh"
 #include "func/quantized_ops.hh"
 #include "func/trainer.hh"
@@ -98,6 +102,199 @@ TEST(Hfp8Exec, MatmulEquivalentToDatapathFma)
         acc = dp.hfp8Fma(a[k], Fp8Kind::Forward, b[k], Fp8Kind::Forward,
                          acc);
     EXPECT_FLOAT_EQ(got[0], acc);
+}
+
+// ---------------------------------------------------------------------
+// The column-laned GEMMs against a per-output oracle: one chunked
+// DLFloat16 dot per output, written out here on the generic codec
+// (FloatFormat::quantize) rather than on ChunkAccumulator.
+// ---------------------------------------------------------------------
+
+/** chunkedDot semantics for output (i, j) of prepared operands. */
+float
+referenceChunkedDot(const Tensor &qa, const Tensor &qb, int64_t i,
+                    int64_t j, const ExecConfig &cfg)
+{
+    const FloatFormat &dl = dlfloat16();
+    auto fold = [&](float outer, float chunk) {
+        return cfg.fp32_outer ? outer + chunk
+                              : dl.quantize(outer + chunk, cfg.rounding);
+    };
+    float chunk = 0.0f, outer = 0.0f;
+    size_t fill = 0;
+    for (int64_t kk = 0; kk < qa.dim(1); ++kk) {
+        const float a = qa.at(i, kk), b = qb.at(kk, j);
+        if (a == 0.0f || b == 0.0f)
+            continue;
+        chunk = dl.quantize(float(double(chunk) + double(a) * double(b)),
+                            cfg.rounding);
+        if (++fill == cfg.chunk_size) {
+            outer = fold(outer, chunk);
+            chunk = 0.0f;
+            fill = 0;
+        }
+    }
+    if (fill)
+        outer = fold(outer, chunk);
+    return dl.quantize(outer, cfg.rounding);
+}
+
+/** Compare @p got with the oracle on the quantized operands. */
+void
+expectMatchesReference(const Tensor &got, const Tensor &qa,
+                       const Tensor &qb, const ExecConfig &cfg,
+                       const std::string &what)
+{
+    ASSERT_EQ(got.dim(0), qa.dim(0));
+    ASSERT_EQ(got.dim(1), qb.dim(1));
+    int mismatches = 0;
+    for (int64_t i = 0; i < got.dim(0); ++i)
+        for (int64_t j = 0; j < got.dim(1); ++j) {
+            const uint32_t want =
+                std::bit_cast<uint32_t>(referenceChunkedDot(qa, qb, i, j,
+                                                            cfg));
+            const uint32_t have = std::bit_cast<uint32_t>(got.at(i, j));
+            if (want != have && ++mismatches <= 4)
+                ADD_FAILURE() << what << " output (" << i << "," << j
+                              << "): 0x" << std::hex << have
+                              << " vs reference 0x" << want;
+        }
+}
+
+/**
+ * Operands whose zeros differ per output column, so the lanes of one
+ * pass fill (and fold) their chunks at different k. Activations are
+ * post-ReLU (about half zero); column j of @p b is zeroed with a
+ * probability that cycles through 0, 0.3 and 0.6 with j.
+ */
+void
+laneOperands(Rng &rng, int64_t m, int64_t k, int64_t n, Tensor &a,
+             Tensor &b)
+{
+    a = randomTensor(rng, {m, k}, 1.0);
+    a.apply([](float v) { return v > 0.0f ? v : 0.0f; });
+    b = randomTensor(rng, {k, n}, 0.7);
+    for (int64_t kk = 0; kk < k; ++kk)
+        for (int64_t j = 0; j < n; ++j)
+            if (rng.uniform() < 0.3 * double(j % 3))
+                b.at(kk, j) = 0.0f;
+}
+
+TEST(LanedGemm, BitIdenticalToPerOutputChunkedDot)
+{
+    Rng rng(41);
+    const FloatFormat fwd = fp8e4m3(4);
+    for (int64_t n : {1, 7, 8, 9, 67}) {
+        Tensor a, b;
+        laneOperands(rng, 3, 150, n, a, b);
+        for (size_t chunk : {size_t(1), size_t(7), size_t(64)})
+            for (bool fp32_outer : {true, false})
+                for (Rounding mode :
+                     {Rounding::NearestEven, Rounding::NearestUp,
+                      Rounding::Truncate}) {
+                    ExecConfig cfg;
+                    cfg.chunk_size = chunk;
+                    cfg.fp32_outer = fp32_outer;
+                    cfg.rounding = mode;
+                    const std::string what =
+                        "n=" + std::to_string(n) + " chunk=" +
+                        std::to_string(chunk) + " fp32_outer=" +
+                        std::to_string(fp32_outer) + " mode=" +
+                        std::to_string(int(mode));
+
+                    Tensor qa = a, qb = b;
+                    auto dl = [&](float v) {
+                        return dlfloat16().quantize(v, mode);
+                    };
+                    qa.apply(dl);
+                    qb.apply(dl);
+                    expectMatchesReference(fp16Matmul(a, b, cfg), qa, qb,
+                                           cfg, "fp16 " + what);
+
+                    qa = a;
+                    qb = b;
+                    auto f8 = [&](float v) { return fwd.quantize(v, mode); };
+                    qa.apply(f8);
+                    qb.apply(f8);
+                    expectMatchesReference(
+                        hfp8Matmul(a, Fp8Kind::Forward, b,
+                                   Fp8Kind::Forward, cfg),
+                        qa, qb, cfg, "hfp8 " + what);
+                }
+    }
+}
+
+/** The NumericFault a NaN raises through the scalar tail path. */
+std::string
+numericFaultMessage(const Tensor &a, const Tensor &b)
+{
+    try {
+        fp16Matmul(a, b);
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::NumericFault);
+        return e.message();
+    }
+    ADD_FAILURE() << "NaN operand must trip the accumulation guard";
+    return "";
+}
+
+TEST(LanedGemm, PoisonedLaneThrowsTheScalarPathFault)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    Tensor a({2, 20});
+    a.fill(1.0f);
+    // Four columns: all of them run through the scalar tail.
+    Tensor narrow({20, 4});
+    narrow.fill(0.5f);
+    narrow.at(5, 3) = nan;
+    // Sixteen columns: two lane passes; column 3 is in the first. A
+    // second poisoned lane at an earlier k must not win: outputs fault
+    // in column order, as in the per-output loop.
+    Tensor wide({20, 16});
+    wide.fill(0.5f);
+    wide.at(5, 3) = nan;
+    wide.at(2, 6) = nan;
+
+    const std::string scalar = numericFaultMessage(a, narrow);
+    EXPECT_NE(scalar.find("non-finite product at element 5 of a "
+                          "20-element chunked dot"),
+              std::string::npos)
+        << scalar;
+    EXPECT_EQ(numericFaultMessage(a, wide), scalar);
+}
+
+/** The per-(kind, bias) static tables quantize exactly like the codec. */
+TEST(Hfp8Exec, QuantizeTensorFp8MatchesCodecForEveryBias)
+{
+    Rng rng(43);
+    const Tensor t = randomTensor(rng, {4, 64}, 3.0);
+    for (int bias = 1; bias <= 15; ++bias) {
+        ExecConfig cfg;
+        cfg.fwd_bias = bias;
+        cfg.rounding = bias % 2 ? Rounding::NearestUp
+                                : Rounding::NearestEven;
+        const Tensor fwd = quantizeTensorFp8(t, Fp8Kind::Forward, cfg);
+        const Tensor bwd = quantizeTensorFp8(t, Fp8Kind::Backward, cfg);
+        for (int64_t i = 0; i < t.numel(); ++i) {
+            EXPECT_EQ(std::bit_cast<uint32_t>(fwd[i]),
+                      std::bit_cast<uint32_t>(
+                          fp8e4m3(bias).quantize(t[i], cfg.rounding)));
+            EXPECT_EQ(std::bit_cast<uint32_t>(bwd[i]),
+                      std::bit_cast<uint32_t>(
+                          fp8e5m2().quantize(t[i], cfg.rounding)));
+        }
+    }
+}
+
+/** An out-of-range forward bias still fails inside fp8e4m3(). */
+TEST(Hfp8ExecDeathTest, OutOfRangeForwardBiasRejected)
+{
+    const Tensor t({1, 1});
+    ExecConfig cfg;
+    cfg.fwd_bias = 0;
+    EXPECT_DEATH(quantizeTensorFp8(t, Fp8Kind::Forward, cfg), "bias");
+    cfg.fwd_bias = 16;
+    EXPECT_DEATH(quantizeTensorFp8(t, Fp8Kind::Forward, cfg), "bias");
 }
 
 TEST(IntExec, MatmulCloseToGoldenOnClippedData)

@@ -35,6 +35,34 @@ TEST(MpeDatapath, Fp16FmaRoundsOnce)
     EXPECT_FLOAT_EQ(dp.fp16Fma(1.0f, 1.0f, 1026.0f), 1028.0f);
 }
 
+/**
+ * The accumulate output rounds twice, double -> float32 -> DLFloat16,
+ * in both fp16Fma and ChunkAccumulator::add. Here the exact sum
+ * 34373633 * 2^-25 lies just above the DLFloat16 tie 524.5 * 2^-9, so a
+ * single rounding would give 525 * 2^-9 = 1.025390625; the float32 step
+ * lands exactly on the tie and nearest-even then keeps 524 * 2^-9.
+ * Pinned so a switch to single rounding is a visible result change.
+ */
+TEST(MpeDatapath, AccumulateRoundsTwiceThroughFloat32)
+{
+    const float a = std::ldexp(781.0f, -12);
+    const float b = std::ldexp(965.0f, -13);
+    const float acc = 1.0f + std::ldexp(1.0f, -9);
+    const double exact = double(a) * double(b) + double(acc);
+    const double single = 525.0 / 512.0;
+    const double twice = 524.0 / 512.0;
+    ASSERT_LT(std::abs(exact - single), std::abs(exact - twice));
+
+    MpeDatapath dp(4, Rounding::NearestEven);
+    EXPECT_EQ(dp.fp16Fma(a, b, acc), 1.0234375f);
+
+    ChunkAccumulator chunk(64, true, Rounding::NearestEven);
+    chunk.add(double(acc));
+    chunk.add(double(a) * double(b));
+    EXPECT_EQ(chunk.total(), 1.0234375f);
+    EXPECT_EQ(float(twice), 1.0234375f);
+}
+
 TEST(MpeDatapath, ZeroGatingBypassesAndCounts)
 {
     MpeDatapath dp;

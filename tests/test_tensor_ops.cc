@@ -3,7 +3,11 @@
  * Tests for the dense tensor container and the FP32 golden operators.
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -57,6 +61,43 @@ TEST(Ops, MatmulSmallKnown)
     EXPECT_FLOAT_EQ(c.at(0, 1), 22);
     EXPECT_FLOAT_EQ(c.at(1, 0), 43);
     EXPECT_FLOAT_EQ(c.at(1, 1), 50);
+}
+
+/**
+ * The row-loop matmul against the textbook i-j-k dot product it
+ * replaced, bit for bit: each output still sums its float*float
+ * products in k order in double. Covers cancellation-heavy data,
+ * exact zeros and an Inf that turns one output row into NaN/Inf.
+ */
+TEST(Ops, MatmulBitIdenticalToDotProductOrder)
+{
+    Rng rng(11);
+    for (auto [m, k, n] : {std::tuple<int64_t, int64_t, int64_t>{1, 1, 1},
+                           {3, 17, 5}, {8, 64, 33}, {5, 300, 2}}) {
+        Tensor a({m, k}), b({k, n});
+        a.fillGaussian(rng, 0.0, 3.0);
+        b.fillGaussian(rng, 0.0, 1e3);
+        for (int64_t i = 0; i < a.numel(); i += 3)
+            a[i] = 0.0f;
+        if (m > 2)
+            a.at(2, k - 1) = std::numeric_limits<float>::infinity();
+        const Tensor c = matmul(a, b);
+        for (int64_t i = 0; i < m; ++i)
+            for (int64_t j = 0; j < n; ++j) {
+                double acc = 0.0;
+                for (int64_t kk = 0; kk < k; ++kk)
+                    acc += double(a.at(i, kk)) * double(b.at(kk, j));
+                EXPECT_EQ(std::bit_cast<uint32_t>(float(acc)),
+                          std::bit_cast<uint32_t>(c.at(i, j)))
+                    << "(" << i << "," << j << ") of " << m << "x" << k
+                    << "x" << n;
+            }
+        const Tensor t = transpose(a);
+        for (int64_t i = 0; i < m; ++i)
+            for (int64_t kk = 0; kk < k; ++kk)
+                EXPECT_EQ(std::bit_cast<uint32_t>(t.at(kk, i)),
+                          std::bit_cast<uint32_t>(a.at(i, kk)));
+    }
 }
 
 TEST(Ops, TransposeRoundTrip)

@@ -21,6 +21,17 @@ struct NetExpectation
     double mparams_lo, mparams_hi;
 };
 
+/**
+ * Print the parameter as its network name. Without this gtest dumps the
+ * raw bytes, which include the address of the name literal, so the
+ * listed test names would change with every (ASLR-randomised) run.
+ */
+void
+PrintTo(const NetExpectation &e, std::ostream *os)
+{
+    *os << e.name;
+}
+
 class BenchmarkCountTest
     : public ::testing::TestWithParam<NetExpectation>
 {

@@ -34,6 +34,10 @@ Check catalog -- names are the waiver names for
                     parallel.*, every throw constructs a rapid::Error
                     subtype (bare rethrow is fine) so ResilientTrainer's
                     e.code() switch stays total
+  dl16-quantize     no dlfloat16().quantize( in src/ outside
+                    src/precision/float_format.*: DLFloat16 rounding
+                    goes through the inline quantizeDl16, so the fast
+                    path stays the only implementation the code runs
   layering          declared module-tier order (include_graph.py)
   include-cycle     file- or module-level include cycles (ditto)
 """
@@ -47,6 +51,7 @@ RNG_ALLOWED = ("src/common/random.",)
 WALLCLOCK_ALLOWED = ("src/common/parallel.", "src/common/sweep.")
 BARE_CATCH_ALLOWED = ("src/common/parallel.",)
 THROW_ALLOWED = ("src/common/error.", "src/common/parallel.")
+DL16_QUANTIZE_ALLOWED = ("src/precision/float_format.",)
 
 RNG_ENGINES = {
     "mt19937", "mt19937_64", "minstd_rand", "minstd_rand0",
@@ -421,6 +426,29 @@ def check_throw_discipline(tf):
             "stays total")
 
 
+# ---------------------------------------------------------------------------
+# One DLFloat16 rounding path.
+# ---------------------------------------------------------------------------
+
+def check_dl16_quantize(tf):
+    if (not tf.rel.startswith("src/")
+            or tf.rel.startswith(DL16_QUANTIZE_ALLOWED)):
+        return
+    for i, t in enumerate(tf.tokens):
+        if (t.kind == "ID" and t.text == "dlfloat16"
+                and not tf.is_punct(i - 1, ".")
+                and not tf.is_punct(i - 1, "->")
+                and tf.is_punct(i + 1, "(") and tf.is_punct(i + 2, ")")
+                and tf.is_punct(i + 3, ".")
+                and tf.is_id(i + 4, "quantize")
+                and tf.is_punct(i + 5, "(")):
+            yield _finding(
+                tf, t.line, "dl16-quantize",
+                "dlfloat16().quantize() runs the generic codec; round "
+                "with quantizeDl16() from precision/float_format.hh "
+                "(bit-identical, pinned by tests/test_float_format.cc)")
+
+
 #: Every token-stream check, in report order. The layering and cycle
 #: passes run from the include graph in engine.py.
 TOKEN_CHECKS = (
@@ -438,6 +466,7 @@ TOKEN_CHECKS = (
     check_det_ptr_hash,
     check_det_datetime,
     check_throw_discipline,
+    check_dl16_quantize,
 )
 
 #: The full check catalog (for --list-checks and the JSON report).
@@ -445,5 +474,6 @@ ALL_CHECKS = (
     "raw-assert", "io-outside-log", "no-rand", "float-eq",
     "include-guard", "no-raw-thread", "no-unseeded-rng", "no-wallclock",
     "no-bare-catch", "det-unordered", "det-ptr-key", "det-ptr-hash",
-    "det-datetime", "throw-discipline", "layering", "include-cycle",
+    "det-datetime", "throw-discipline", "dl16-quantize", "layering",
+    "include-cycle",
 )

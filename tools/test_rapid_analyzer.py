@@ -15,7 +15,8 @@ import unittest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from rapid_analyzer import lexer  # noqa: E402
-from rapid_analyzer.checks import TokenFile, check_float_eq  # noqa: E402
+from rapid_analyzer.checks import (  # noqa: E402
+    TokenFile, check_dl16_quantize, check_float_eq)
 from rapid_analyzer.include_graph import (  # noqa: E402
     MODULE_TIERS, IncludeGraph, module_of)
 
@@ -158,6 +159,25 @@ class CheckHelpers(unittest.TestCase):
         toks = lexer.lex("if (x == 10) {}\n").tokens
         self.assertEqual(
             list(check_float_eq(TokenFile("src/precision/x.cc", toks))), [])
+
+    def test_dl16_quantize_flagged_outside_float_format(self):
+        toks = lexer.lex("y = rapid::dlfloat16().quantize(x, m);\n").tokens
+        findings = list(check_dl16_quantize(TokenFile("src/func/x.cc", toks)))
+        self.assertEqual([f.check for f in findings], ["dl16-quantize"])
+
+    def test_dl16_quantize_allowed_in_codec_and_outside_src(self):
+        toks = lexer.lex("y = dlfloat16().quantize(x);\n").tokens
+        for rel in ("src/precision/float_format.hh", "tests/t.cc",
+                    "bench/b.cc"):
+            self.assertEqual(
+                list(check_dl16_quantize(TokenFile(rel, toks))), [], rel)
+
+    def test_dl16_encode_and_other_formats_not_flagged(self):
+        toks = lexer.lex("w = dlfloat16().encode(x);\n"
+                         "y = fp9().quantize(x);\n"
+                         "z = fmt.dlfloat16().quantize(x);\n").tokens
+        self.assertEqual(
+            list(check_dl16_quantize(TokenFile("src/sim/x.cc", toks))), [])
 
 
 class GraphResolver(unittest.TestCase):
