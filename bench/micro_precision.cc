@@ -4,8 +4,8 @@
  * codec throughput (the generic codec against the inline DLFloat16
  * rounding, scalar FP8 decode against the decode LUT), FMA datapaths,
  * chunked accumulation, quantizers, the reduced-precision GEMM
- * executors, the cycle-level systolic simulator, and the ring
- * interconnect.
+ * executors, the cycle-level systolic simulator, the ring
+ * interconnect, and the chip-level simulator.
  */
 
 #include <vector>
@@ -16,6 +16,7 @@
 #include "func/quantized_ops.hh"
 #include "interconnect/mni.hh"
 #include "precision/decode_lut.hh"
+#include "sim/chip_sim.hh"
 #include "sim/systolic.hh"
 
 namespace rapid {
@@ -205,6 +206,35 @@ BM_RingMulticast(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RingMulticast);
+
+/**
+ * One ChipSim run of the 128x128, 14x14, 3x3 FP16 conv on 4 cores
+ * with multicast; items are simulated cycles (the makespan), so
+ * items_per_second reads as simulated cycles per host second.
+ */
+void
+BM_ChipSimLayer(benchmark::State &state)
+{
+    Layer l;
+    l.type = LayerType::Conv;
+    l.name = "conv";
+    l.ci = l.co = 128;
+    l.h = l.w = 14;
+    l.kh = l.kw = 3;
+    l.pad_h = l.pad_w = 1;
+    LayerPlan plan;
+    plan.precision = Precision::FP16;
+    const LayerProgram prog =
+        CodeGenerator(makeInferenceChip()).generate(l, plan, 1);
+    Tick cycles = 0;
+    for (auto _ : state) {
+        const ChipRunStats stats = ChipSim(4, true).run(prog);
+        cycles += stats.makespan;
+        benchmark::DoNotOptimize(stats.ring_flit_hops);
+    }
+    state.SetItemsProcessed(int64_t(cycles));
+}
+BENCHMARK(BM_ChipSimLayer);
 
 } // namespace
 } // namespace rapid

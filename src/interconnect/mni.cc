@@ -38,6 +38,7 @@ MniFabric::recv(unsigned consumer, unsigned producer, uint64_t tag,
     t.n_consumers = n_consumers;
     t.ring_id = ring_.send(consumer, {producer}, cfg_.request_bytes,
                            tag);
+    live_.push_back(tracked_.size());
     tracked_.push_back(t);
 
     auto &ps = pending_[{producer, tag}];
@@ -77,18 +78,24 @@ MniFabric::maybeLaunchData(unsigned producer, uint64_t tag)
     t.producer = producer;
     t.tag = tag;
     t.ring_id = ring_.send(producer, ps.consumers, ps.bytes, tag);
+    live_.push_back(tracked_.size());
     tracked_.push_back(t);
 }
 
 void
 MniFabric::processDelivered()
 {
-    // Index loop: handlers can append to tracked_ (data launches).
-    for (size_t ti = 0; ti < tracked_.size(); ++ti) {
-        Tracked &t = tracked_[ti];
-        if (t.handled || !ring_.message(t.ring_id).delivered)
+    // Walk the unhandled entries in issue order, keeping the ones
+    // still in flight. Index loop: handlers can append to live_ (data
+    // launches), and those are visited in the same pass.
+    size_t kept = 0;
+    for (size_t li = 0; li < live_.size(); ++li) {
+        const size_t ti = live_[li];
+        const Tracked t = tracked_[ti]; // copy: tracked_ may grow
+        if (!ring_.message(t.ring_id).delivered) {
+            live_[kept++] = ti;
             continue;
-        t.handled = true;
+        }
         if (t.kind == Tracked::Kind::RecvRequest) {
             // Request arrived at the producer's MNI-SU: aggregate.
             auto &ps = pending_[{t.producer, t.tag}];
@@ -114,6 +121,7 @@ MniFabric::processDelivered()
             pending_.erase({t.producer, t.tag});
         }
     }
+    live_.resize(kept);
 }
 
 void

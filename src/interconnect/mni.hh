@@ -89,6 +89,15 @@ class MniFabric
     /** Run until every posted transfer completed. */
     void drain(uint64_t max_cycles = 100000000);
 
+    /**
+     * Nothing is in flight or queued on the ring. An idle fabric only
+     * changes through a new recv() or send().
+     */
+    bool idle() const { return ring_.idle(); }
+
+    /** Advance an idle fabric @p cycles cycles (same as step()s). */
+    void skipIdle(uint64_t cycles) { ring_.skipIdle(cycles); }
+
     uint64_t now() const { return ring_.now(); }
     const std::vector<MniCompletion> &completions() const
     {
@@ -121,7 +130,6 @@ class MniFabric
         unsigned consumer = 0;       ///< for RecvRequest
         uint64_t local_addr = 0;     ///< for RecvRequest
         unsigned n_consumers = 1;    ///< for RecvRequest
-        bool handled = false;
     };
 
     void maybeLaunchData(unsigned producer, uint64_t tag);
@@ -132,6 +140,8 @@ class MniFabric
     /// (producer, tag) -> aggregation state.
     std::map<std::pair<unsigned, uint64_t>, PendingSend> pending_;
     std::vector<Tracked> tracked_;
+    /// Indices into tracked_ of the unhandled entries, in order.
+    std::vector<size_t> live_;
     std::vector<MniCompletion> completions_;
     std::vector<unsigned> outstanding_; ///< per consumer
     uint64_t open_transfers_ = 0;

@@ -66,6 +66,7 @@ RingNetwork::send(unsigned src, std::vector<unsigned> dsts,
     const size_t id = messages_.size();
     messages_.push_back(std::move(msg));
     pending_tails_.push_back(unsigned(messages_[id].dsts.size()));
+    ++undelivered_;
 
     InFlight fl;
     fl.id = id;
@@ -91,23 +92,24 @@ RingNetwork::send(unsigned src, std::vector<unsigned> dsts,
 void
 RingNetwork::stepDirection(DirState &st, RingDir dir)
 {
+    if (st.quiet())
+        return;
     const unsigned n = cfg_.num_nodes;
 
     // Phase 1: advance the head flit of every node one hop, based on
     // the pre-step queues so a flit moves at most once per cycle.
-    std::vector<Flit> moved;
-    std::vector<unsigned> from;
-    moved.reserve(n);
+    moved_.clear();
+    from_.clear();
     for (unsigned node = 0; node < n; ++node) {
         if (st.pipes[node].empty())
             continue;
-        moved.push_back(st.pipes[node].front());
-        from.push_back(node);
+        moved_.push_back(st.pipes[node].front());
+        from_.push_back(node);
         st.pipes[node].pop_front();
     }
-    for (size_t i = 0; i < moved.size(); ++i) {
-        Flit f = moved[i];
-        const unsigned node = from[i];
+    for (size_t i = 0; i < moved_.size(); ++i) {
+        Flit f = moved_[i];
+        const unsigned node = from_[i];
         if (injector_ && injector_->active(FaultSite::RingFlit)) {
             const FaultOutcome hit = injector_->inject(
                 FaultSite::RingFlit, fault_items_++, fault_stats_);
@@ -136,9 +138,12 @@ RingNetwork::stepDirection(DirState &st, RingDir dir)
         if (is_dst && f.tail && --pending_tails_[f.msg_id] == 0) {
             m.delivered = true;
             m.complete_cycle = cycle_ + 1;
+            --undelivered_;
         }
         if (f.hops_left > 0)
             st.pipes[next].push_back(f);
+        else
+            --st.flits;
     }
 
     // Phase 2: inject one flit of the active message at its source.
@@ -155,6 +160,7 @@ RingNetwork::stepDirection(DirState &st, RingDir dir)
         f.hops_left = fl.max_hops;
         f.tail = (fl.flits_sent + 1 == fl.flits_total);
         st.pipes[m.src].push_back(f);
+        ++st.flits;
         if (++fl.flits_sent == fl.flits_total)
             st.busy = false;
     }
@@ -177,15 +183,6 @@ RingNetwork::drain(uint64_t max_cycles)
         rapid_assert(++steps <= max_cycles,
                      "ring failed to drain in ", max_cycles, " cycles");
     }
-}
-
-bool
-RingNetwork::allDelivered() const
-{
-    for (const auto &m : messages_)
-        if (!m.delivered)
-            return false;
-    return true;
 }
 
 const RingMessage &

@@ -85,7 +85,26 @@ class RingNetwork
     /** Run until all queued messages are delivered (bounded). */
     void drain(uint64_t max_cycles = 100000000);
 
-    bool allDelivered() const;
+    bool allDelivered() const { return undelivered_ == 0; }
+
+    /** No flit in flight and no message queued or injecting. */
+    bool
+    idle() const
+    {
+        return cw_.quiet() && ccw_.quiet();
+    }
+
+    /**
+     * Advance the clock @p cycles cycles on an idle ring; nothing
+     * moves, so this equals stepping that many times.
+     */
+    void
+    skipIdle(uint64_t cycles)
+    {
+        rapid_dassert(idle(), "skipping cycles on a busy ring");
+        cycle_ += cycles;
+    }
+
     uint64_t now() const { return cycle_; }
 
     const RingMessage &message(size_t id) const;
@@ -139,6 +158,13 @@ class RingNetwork
         bool busy = false;
         size_t active = 0;        ///< index into inflight_
         std::vector<std::deque<Flit>> pipes; ///< per-node output queue
+        uint64_t flits = 0;       ///< flits sitting in the pipes
+
+        bool
+        quiet() const
+        {
+            return flits == 0 && queue.empty() && !busy;
+        }
     };
 
     void stepDirection(DirState &st, RingDir dir);
@@ -152,8 +178,12 @@ class RingNetwork
     std::vector<RingMessage> messages_;
     std::vector<unsigned> pending_tails_; ///< per message
     std::vector<InFlight> inflight_;
+    uint64_t undelivered_ = 0; ///< messages not yet fully delivered
     DirState cw_;
     DirState ccw_;
+    /// stepDirection's head-flit scratch, kept to avoid reallocation.
+    std::vector<Flit> moved_;
+    std::vector<unsigned> from_;
 };
 
 } // namespace rapid

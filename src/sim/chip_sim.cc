@@ -144,6 +144,13 @@ ChipSim::run(const LayerProgram &prog, Tick lrf_load_cycles)
         return true;
     };
 
+    // A sequencer can post while it has transfers left and room in
+    // its MNI-LU load queue.
+    auto can_post = [&](unsigned c) {
+        return next_transfer[c] < prog.transfers.size() &&
+               mni.outstandingLoads(c) < mniCfg_.max_outstanding_loads;
+    };
+
     while (!all_done()) {
         rapid_assert(++tick <= limit, "chip sim failed to converge");
         // Sequencers try to push their next requests.
@@ -169,6 +176,25 @@ ChipSim::run(const LayerProgram &prog, Tick lrf_load_cycles)
                 unsigned(comp.local_addr));
         }
         eq.run(tick);
+
+        // Time advance: while the fabric is busy the loop steps cycle
+        // by cycle. Once it is quiescent (nothing on the ring and no
+        // sequencer able to post) only a core event can change state
+        // -- the sequencers alone touch the MNI and unblock only on a
+        // ring delivery -- so jump to the cycle before the next core
+        // event. The clamp keeps a deadlock failing the limit check.
+        if (!mni.idle() || all_done())
+            continue;
+        bool blocked = true;
+        for (unsigned c = 0; c < numCores_ && blocked; ++c)
+            blocked = !can_post(c);
+        if (!blocked)
+            continue;
+        const Tick next = std::min<Tick>(eq.nextTick(), limit + 1);
+        if (next > tick + 1) {
+            mni.skipIdle(next - 1 - tick);
+            tick = next - 1;
+        }
     }
 
     ChipRunStats stats;

@@ -55,11 +55,17 @@ class EventQueue
             now_ = e.when;
             e.fn();
         }
-        if (heap_.empty() && now_ < limit)
-            now_ = now_; // time only advances with events
     }
 
     Tick now() const { return now_; }
+
+    /** Tick of the earliest pending event; UINT64_MAX when empty. */
+    Tick
+    nextTick() const
+    {
+        return heap_.empty() ? UINT64_MAX : heap_.top().when;
+    }
+
     bool empty() const { return heap_.empty(); }
     size_t pending() const { return heap_.size(); }
 

@@ -12,16 +12,18 @@
 namespace rapid {
 namespace {
 
+/** A pad-1 3x3 conv, by default 128x128 channels over 14x14. */
 LayerProgram
-compiledConv(Precision p = Precision::INT4)
+compiledConv(Precision p = Precision::INT4, int64_t ci = 128,
+             int64_t co = 128, int64_t hw = 14)
 {
     Layer l;
     l.type = LayerType::Conv;
     l.name = "conv";
-    l.ci = 128;
-    l.co = 128;
-    l.h = 14;
-    l.w = 14;
+    l.ci = ci;
+    l.co = co;
+    l.h = hw;
+    l.w = hw;
     l.kh = l.kw = 3;
     l.pad_h = l.pad_w = 1;
     CodeGenerator cg(makeInferenceChip());
@@ -87,6 +89,82 @@ TEST(ChipSim, MoreCoresMoreTrafficSameProgram)
     EXPECT_GT(c4.ring_flit_hops, c2.ring_flit_hops);
     EXPECT_LT(double(c4.ring_flit_hops),
               2.2 * double(c2.ring_flit_hops));
+}
+
+TEST(ChipSimDeathTest, DeadlockFailsToConverge)
+{
+    // A core waits on a token no transfer ever posts: the idle fabric
+    // jumps straight to the cycle limit instead of stepping to it.
+    LayerProgram prog;
+    MpeInstruction wait;
+    wait.op = Opcode::TokWait;
+    wait.imm = 7;
+    prog.mpe_program.push_back(wait);
+    EXPECT_DEATH(ChipSim(2, true).run(prog), "failed to converge");
+}
+
+TEST(ChipSim, StatsMatchRecordedReference)
+{
+    // Plain anchors: the 128x128, 14x14, 3x3 conv on 4 multicast cores.
+    EXPECT_EQ(ChipSim(4, true).run(compiledConv(Precision::FP16)).makespan,
+              7345u);
+    EXPECT_EQ(ChipSim(4, true).run(compiledConv(Precision::HFP8)).makespan,
+              3674u);
+    EXPECT_EQ(ChipSim(4, true).run(compiledConv(Precision::INT4)).makespan,
+              919u);
+
+    // A hand program whose Halt is the event an idle jump lands on:
+    // one 512-byte block, then a 50-cycle FMMA with no tail.
+    LayerProgram tiny;
+    MpeInstruction inst;
+    for (Opcode op : {Opcode::TokWait, Opcode::LrfLoad, Opcode::Fmma,
+                      Opcode::Halt}) {
+        inst.op = op;
+        inst.imm = op == Opcode::Fmma ? 50 : 1;
+        tiny.mpe_program.push_back(inst);
+    }
+    PlannedTransfer block;
+    block.tag = 1;
+    block.bytes = 512;
+    block.ready_token = 1;
+    tiny.transfers.push_back(block);
+    for (unsigned cores : {1u, 2u}) {
+        const ChipRunStats s = ChipSim(cores, true).run(tiny);
+        EXPECT_EQ(s.makespan, 58u) << cores << " cores";
+        EXPECT_EQ(s.cores[0].finish_cycle, 58u) << cores << " cores";
+        EXPECT_EQ(s.ring_flit_hops, 5u * cores) << cores << " cores";
+    }
+
+    // FNV-1a over every stat of 486 runs, recorded from the per-cycle
+    // simulator: any change in timing, traffic or work shows here.
+    uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+    int runs = 0;
+    for (Precision p : {Precision::FP16, Precision::HFP8, Precision::INT4})
+        for (int64_t co : {16, 64, 256})
+            for (int64_t hw : {1, 7, 28}) {
+                const LayerProgram prog = compiledConv(p, 64, co, hw);
+                for (unsigned cores : {1u, 2u, 4u})
+                    for (bool multicast : {true, false})
+                        for (unsigned loads : {1u, 2u, 16u}) {
+                            MniConfig mni;
+                            mni.max_outstanding_loads = loads;
+                            const ChipRunStats s =
+                                ChipSim(cores, multicast, mni)
+                                    .run(prog, loads == 2 ? 1 : 8);
+                            mix(s.makespan);
+                            mix(s.ring_flit_hops);
+                            for (const auto &c : s.cores) {
+                                mix(c.finish_cycle);
+                                mix(c.stall_cycles);
+                                mix(c.fmma_issued);
+                                mix(c.tiles_loaded);
+                            }
+                            ++runs;
+                        }
+            }
+    EXPECT_EQ(runs, 486);
+    EXPECT_EQ(h, 0x4a3ab1bdb03ec38bull);
 }
 
 } // namespace

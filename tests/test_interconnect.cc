@@ -247,6 +247,47 @@ TEST(Ring, RandomizedStressConservesFlitHops)
     }
 }
 
+TEST(Ring, IdleAndDeliveredCountersMatchFullScan)
+{
+    // idle() and allDelivered() are O(1) counters; after every step
+    // they must agree with a scan of every message, through multicast
+    // and through detected faults whose flits retry from the front of
+    // their pipe.
+    FaultConfig fcfg = FaultConfig::withRate(0.2);
+    SiteProtection detect_all;
+    detect_all.detect = 1.0;
+    fcfg.protectAll(detect_all);
+    const FaultInjector inj(fcfg);
+    RingNetwork ring(ring5());
+    ring.setFaultInjector(&inj);
+    EXPECT_TRUE(ring.idle());
+    EXPECT_TRUE(ring.allDelivered());
+
+    size_t sent = 0;
+    auto check = [&] {
+        bool scan = true;
+        for (size_t id = 0; id < sent; ++id)
+            scan = scan && ring.message(id).delivered;
+        ASSERT_EQ(ring.allDelivered(), scan) << "cycle " << ring.now();
+        ASSERT_EQ(ring.idle(), scan) << "cycle " << ring.now();
+    };
+    ring.send(0, {2, 3}, 128 * 6); // multicast, clockwise
+    ring.send(1, {4}, 128 * 3);    // counter-clockwise
+    sent = 2;
+    check();
+    for (int cycle = 0; cycle < 200; ++cycle) {
+        if (cycle == 4) {
+            ring.send(3, {0, 1}, 128 * 2);
+            sent = 3;
+        }
+        ring.step();
+        check();
+    }
+    EXPECT_TRUE(ring.idle());
+    EXPECT_GT(ring.faultStats().retries, 0u);
+    EXPECT_EQ(ring.faultStats().sdc, 0u);
+}
+
 TEST(Mni, RandomizedMemoryLoadsAllRetire)
 {
     // Failure-injection-style stress: random consumers, sizes, and

@@ -57,6 +57,20 @@ TEST(EventQueue, RunLimitStopsEarly)
     EXPECT_EQ(eq.pending(), 1u);
 }
 
+TEST(EventQueue, NextTickReportsEarliestPendingEvent)
+{
+    EventQueue eq;
+    EXPECT_EQ(eq.nextTick(), UINT64_MAX); // empty queue
+    eq.schedule(30, [] {});
+    eq.schedule(12, [] {});
+    EXPECT_EQ(eq.nextTick(), 12u);
+    eq.run(20);
+    EXPECT_EQ(eq.nextTick(), 30u);
+    EXPECT_EQ(eq.now(), 12u); // time only advances with events
+    eq.run();
+    EXPECT_EQ(eq.nextTick(), UINT64_MAX);
+}
+
 TEST(EventQueue, SchedulingInThePastIsFatal)
 {
     EventQueue eq;
