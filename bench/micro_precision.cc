@@ -5,13 +5,15 @@
  * rounding, scalar FP8 decode against the decode LUT), FMA datapaths,
  * chunked accumulation, quantizers, the reduced-precision GEMM
  * executors, the cycle-level systolic simulator, the ring
- * interconnect, and the chip-level simulator.
+ * interconnect, the chip-level simulator, and the fork-join pool.
  */
 
+#include <functional>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "common/parallel.hh"
 #include "common/random.hh"
 #include "func/quantized_ops.hh"
 #include "interconnect/mni.hh"
@@ -235,6 +237,20 @@ BM_ChipSimLayer(benchmark::State &state)
     state.SetItemsProcessed(int64_t(cycles));
 }
 BENCHMARK(BM_ChipSimLayer);
+
+/**
+ * Fork and join of a two-index no-op region on a two-thread pool, the
+ * shape of a lightly loaded DES window: the time is all pool overhead.
+ */
+void
+BM_ParallelForTiny(benchmark::State &state)
+{
+    ThreadPool pool(2);
+    const std::function<void(size_t)> noop = [](size_t) {};
+    for (auto _ : state)
+        pool.parallelFor(2, noop);
+}
+BENCHMARK(BM_ParallelForTiny);
 
 } // namespace
 } // namespace rapid

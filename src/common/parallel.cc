@@ -1,8 +1,11 @@
 #include "common/parallel.hh"
 
+#include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -19,6 +22,54 @@ struct TaskScope
     TaskScope() { ++tls_task_depth; }
     ~TaskScope() { --tls_task_depth; }
 };
+
+/**
+ * How long an idle worker polls for the next region, and a caller for
+ * the last member at the barrier, before either blocks. It bridges the
+ * serial gap between two DES windows (delivering outboxes, computing
+ * the next safe bound) many times over, yet an idle pool still parks
+ * within a tenth of a millisecond.
+ */
+constexpr std::chrono::microseconds kSpinBound{100};
+
+/// Polls between two clock reads while spinning.
+constexpr unsigned kPollsPerClockRead = 32;
+
+/** Tell the core this is a spin-wait loop. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield" ::: "memory");
+#endif
+}
+
+/**
+ * Poll done() with a CPU pause between polls until it holds or
+ * kSpinBound has passed; returns done(). The clock is first read only
+ * after kPollsPerClockRead polls, so a wait that ends at once costs
+ * no clock read.
+ */
+template <typename Pred>
+bool
+spinUntil(Pred done)
+{
+    std::chrono::steady_clock::time_point deadline{};
+    for (bool timed = false;; timed = true) {
+        for (unsigned i = 0; i < kPollsPerClockRead; ++i) {
+            if (done())
+                return true;
+            cpuRelax();
+        }
+        const auto now = std::chrono::steady_clock::now();
+        if (!timed)
+            deadline = now + kSpinBound;
+        else if (now >= deadline)
+            return done();
+    }
+}
 
 std::mutex g_pool_mu;
 std::unique_ptr<ThreadPool> g_pool;
@@ -91,9 +142,10 @@ ThreadPool::ThreadPool(unsigned threads)
 
 ThreadPool::~ThreadPool()
 {
+    stop_.store(true);
     {
+        // A worker tests stop_ under mu_ before it blocks.
         std::lock_guard<std::mutex> lk(mu_);
-        stop_ = true;
     }
     workCv_.notify_all();
     for (std::thread &t : workers_)
@@ -101,28 +153,34 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::runSome(Batch &batch)
+ThreadPool::runSome()
 {
-    {
-        TaskScope scope;
-        for (;;) {
-            const size_t i =
-                batch.next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= batch.n)
-                break;
-            try {
-                (*batch.fn)(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lk(batch.mu);
-                if (!batch.first_error)
-                    batch.first_error = std::current_exception();
-            }
+    TaskScope scope;
+    const size_t n = n_;
+    const std::function<void(size_t)> &fn = *fn_;
+    for (;;) {
+        const size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n)
+            break;
+        try {
+            fn(i);
+        } catch (...) {
+            std::lock_guard<std::mutex> lk(errorMu_);
+            if (!first_error_)
+                first_error_ = std::current_exception();
         }
     }
-    if (batch.live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lk(batch.mu);
-        batch.finished = true;
-        batch.done_cv.notify_all();
+}
+
+void
+ThreadPool::leave()
+{
+    // seq_cst pairs with the caller's store to callerParked_ followed
+    // by its load of active_: one of the two sees the other.
+    const uint64_t prev = active_.fetch_sub(1);
+    if (members(prev) == 1 && callerParked_.load()) {
+        { std::lock_guard<std::mutex> lk(mu_); }
+        doneCv_.notify_one();
     }
 }
 
@@ -131,18 +189,30 @@ ThreadPool::workerLoop()
 {
     uint64_t seen = 0;
     for (;;) {
-        std::shared_ptr<Batch> batch;
-        {
+        const auto fresh = [&] {
+            return stop_.load() || gen_.load() != seen;
+        };
+        if (!spinUntil(fresh)) {
             std::unique_lock<std::mutex> lk(mu_);
-            workCv_.wait(lk, [&] {
-                return stop_ || (batch_ && batch_->seq != seen);
-            });
-            if (stop_)
-                return;
-            batch = batch_;
-            seen = batch->seq;
+            // seq_cst pairs with the caller's gen_ bump followed by
+            // its load of parked_: a region published while this
+            // worker parks is either seen here or notified.
+            parked_.fetch_add(1);
+            workCv_.wait(lk, fresh);
+            parked_.fetch_sub(1);
         }
-        runSome(*batch);
+        if (stop_.load())
+            return;
+        seen = gen_.load();
+        // Join before claiming. The gate opens before gen_ moves, so
+        // a closed gate here means the region this worker woke for
+        // is already over (its caller ran it alone).
+        if (active_.fetch_add(1) & kGateClosed) {
+            leave();
+            continue;
+        }
+        runSome();
+        leave();
     }
 }
 
@@ -167,32 +237,34 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn)
     // One fork-join region at a time; concurrent callers queue here.
     std::lock_guard<std::mutex> submit(submitMu_);
 
-    auto batch = std::make_shared<Batch>();
-    batch->n = n;
-    batch->fn = &fn;
-    // Every worker plus the caller participates; a participant that
-    // finds the index space drained just leaves again.
-    batch->live.store(unsigned(workers_.size()) + 1,
-                      std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        batch->seq = nextSeq_++;
-        batch_ = batch;
+    // The gate is closed and no member is inside, so the slot is ours.
+    n_ = n;
+    fn_ = &fn;
+    next_.store(0, std::memory_order_relaxed);
+    active_.fetch_and(~kGateClosed);  // publishes the slot to joiners
+    gen_.fetch_add(1);
+    // A parking worker bumps parked_ and then tests gen_, both under
+    // mu_; this bumps gen_ and then reads parked_. One of the two sees
+    // the other, and taking mu_ before the notify means a worker that
+    // counted itself parked is already waiting.
+    if (parked_.load() > 0) {
+        { std::lock_guard<std::mutex> lk(mu_); }
+        workCv_.notify_all();
     }
-    workCv_.notify_all();
 
-    runSome(*batch);
+    runSome();
 
-    {
-        std::unique_lock<std::mutex> lk(batch->mu);
-        batch->done_cv.wait(lk, [&] { return batch->finished; });
+    // The index space is drained; wait only for workers that joined.
+    active_.fetch_or(kGateClosed);
+    const auto drained = [&] { return members(active_.load()) == 0; };
+    if (!spinUntil(drained)) {
+        std::unique_lock<std::mutex> lk(mu_);
+        callerParked_.store(true);
+        doneCv_.wait(lk, drained);
+        callerParked_.store(false);
     }
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        batch_.reset();
-    }
-    if (batch->first_error)
-        std::rethrow_exception(batch->first_error);
+    if (first_error_)
+        std::rethrow_exception(std::exchange(first_error_, nullptr));
 }
 
 void

@@ -22,6 +22,35 @@
  * inside a task, so e.g. the dataflow mapper's candidate sweep stays
  * correct whether or not the perf model already parallelized over
  * layers above it.
+ *
+ * Fork-join protocol (spin, then park). The DES engine forks one
+ * region per barrier window, and a fleet window carries only a few
+ * events, so a region of a few microseconds must cost well under a
+ * microsecond to fork and join. The pool therefore keeps one
+ * persistent region slot instead of allocating a batch per call:
+ *
+ *  - Publish. The caller fills the slot (n, fn, index counter), opens
+ *    the join gate, then bumps a generation counter. It notifies the
+ *    condition variable only when some worker is parked.
+ *  - Spin, then park. An idle worker polls the generation with a CPU
+ *    pause for a fixed bound (kSpinBound in parallel.cc, 100 us on the
+ *    steady clock). Back-to-back windows therefore reach a worker
+ *    without a futex round trip. Only after the bound does the worker
+ *    park on the condition variable, so an idle pool costs no CPU.
+ *  - Join rule. A worker joins a region by bumping an atomic member
+ *    count through the open gate before it claims any index, and
+ *    leaves by dropping it. Once the index space is drained the
+ *    caller closes the gate and waits for the member count to reach
+ *    zero; it spins for the same bound, then blocks. A worker that
+ *    stayed parked, or arrived after the gate closed, never joined
+ *    and never holds up the barrier. When parallelFor returns, no
+ *    worker is inside the region and none can still enter it, so
+ *    the caller's fn may die.
+ *
+ * None of this touches determinism: which thread runs which index
+ * was never part of the result, because results are gathered by
+ * index and reduced serially after the barrier. The first exception
+ * thrown by a task is still rethrown after the barrier.
  */
 
 #ifndef RAPID_COMMON_PARALLEL_HH
@@ -30,8 +59,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -66,6 +96,9 @@ class ThreadPool
      */
     void parallelFor(size_t n, const std::function<void(size_t)> &fn);
 
+    /** Workers currently parked on the condition variable (tests). */
+    unsigned parkedWorkers() const { return parked_.load(); }
+
     /** True while the calling thread is executing a pool task. */
     static bool inTask();
 
@@ -91,31 +124,44 @@ class ThreadPool
     static ThreadPool &global();
 
   private:
-    /** One fork-join region; lives until every participant leaves. */
-    struct Batch
-    {
-        uint64_t seq = 0;
-        size_t n = 0;
-        const std::function<void(size_t)> *fn = nullptr;
-        std::atomic<size_t> next{0};
-        std::atomic<unsigned> live{0};
-        std::mutex mu;
-        std::condition_variable done_cv;
-        bool finished = false;
-        std::exception_ptr first_error;
-    };
+    /// Set in active_ while the region slot admits no new members.
+    static constexpr uint64_t kGateClosed = uint64_t(1) << 63;
 
     void workerLoop();
-    static void runSome(Batch &batch);
+    /** Claim and run indices of the open region until it drains. */
+    void runSome();
+    /** Drop one member; wakes a caller blocked on the last one. */
+    void leave();
+    /** Members currently inside the region (gate bit masked off). */
+    static uint64_t members(uint64_t active) { return active & ~kGateClosed; }
 
     unsigned numThreads_;
-    std::vector<std::thread> workers_;
-    std::mutex mu_;                 ///< guards batch_ / stop_
+
+    // The persistent region slot. n_, fn_ and first_error_ are written
+    // by the caller only while the gate is closed and no member is
+    // inside; members read them after joining through the open gate.
+    size_t n_ = 0;
+    const std::function<void(size_t)> *fn_ = nullptr;
+    std::exception_ptr first_error_;  ///< tasks write it under errorMu_
+    std::mutex errorMu_;
+
+    // Each hot atomic on its own cache line: idle workers poll gen_
+    // while members hammer next_ and active_.
+    alignas(64) std::atomic<uint64_t> gen_{0};  ///< bumped per region
+    alignas(64) std::atomic<size_t> next_{0};   ///< next unclaimed index
+    /// Member count, plus kGateClosed between regions.
+    alignas(64) std::atomic<uint64_t> active_{kGateClosed};
+    alignas(64) std::atomic<unsigned> parked_{0};  ///< workers asleep
+    std::atomic<bool> callerParked_{false};
+    std::atomic<bool> stop_{false};
+
+    std::mutex mu_;  ///< pairs with workCv_ and doneCv_ for parking
     std::condition_variable workCv_;
-    std::shared_ptr<Batch> batch_;
-    uint64_t nextSeq_ = 1;
-    bool stop_ = false;
-    std::mutex submitMu_;           ///< serializes parallelFor callers
+    std::condition_variable doneCv_;
+    std::mutex submitMu_;  ///< serializes parallelFor callers
+
+    /// Declared last: the workers use every member above.
+    std::vector<std::thread> workers_;
 };
 
 /**

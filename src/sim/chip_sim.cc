@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/des.hh"
+#include "common/error.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 
@@ -112,6 +113,15 @@ ChipSim::ChipSim(unsigned num_cores, bool multicast, MniConfig mni_cfg)
 ChipRunStats
 ChipSim::run(const LayerProgram &prog, Tick lrf_load_cycles)
 {
+    // TokWait/TokPost carry the ready token in a 16-bit immediate; a
+    // larger token wraps in the encoded program and the core would wait
+    // on an id no MNI completion ever posts.
+    for (const PlannedTransfer &tr : prog.transfers)
+        RAPID_CHECK_ARG(tr.ready_token <= 0xffff, "ChipSim: transfer ",
+                        "ready_token ", tr.ready_token,
+                        " exceeds the 16-bit TokWait immediate (program "
+                        "of ", prog.num_tiles, " tiles; at most 65,535 "
+                        "can be simulated)");
     RingConfig ring_cfg;
     ring_cfg.num_nodes = numCores_ + 1; // + memory interface
     MniFabric mni(ring_cfg, mniCfg_);

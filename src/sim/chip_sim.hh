@@ -65,7 +65,9 @@ class ChipSim
 
     /**
      * Run @p prog on every core; weight tiles stream from memory.
-     * @p lrf_load_cycles is the per-tile LRF hand-off cost.
+     * @p lrf_load_cycles is the per-tile LRF hand-off cost. Throws
+     * rapid::Error if a transfer's ready_token does not fit the 16-bit
+     * TokWait immediate (programs of 65,536 tiles or more).
      */
     ChipRunStats run(const LayerProgram &prog,
                      Tick lrf_load_cycles = 8);

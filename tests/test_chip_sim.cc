@@ -5,8 +5,11 @@
  * through the MNI, with and without multicast request aggregation.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
 #include "sim/chip_sim.hh"
 
 namespace rapid {
@@ -101,6 +104,35 @@ TEST(ChipSimDeathTest, DeadlockFailsToConverge)
     wait.imm = 7;
     prog.mpe_program.push_back(wait);
     EXPECT_DEATH(ChipSim(2, true).run(prog), "failed to converge");
+}
+
+TEST(ChipSim, RejectsTokensBeyondTheSixteenBitImmediate)
+{
+    // bilstm1.fwd.gates of the SWB300 BiLSTM (seq_len 300): a GEMV
+    // whose tile walk needs more ready tokens than TokWait can encode.
+    Layer l;
+    l.type = LayerType::Gemm;
+    l.name = "bilstm1.fwd.gates";
+    l.gm = 1;
+    l.gk = 2048 + 1024;
+    l.gn = 4 * 1024;
+    l.repeat = 300;
+    LayerPlan plan;
+    plan.precision = Precision::FP16;
+    const LayerProgram prog =
+        CodeGenerator(makeInferenceChip()).generate(l, plan, 1);
+    ASSERT_GE(prog.num_tiles, 65536u);
+    try {
+        (void)ChipSim(4, true).run(prog);
+        FAIL() << "a program of " << prog.num_tiles << " tiles ran";
+    } catch (const Error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("ready_token 65536"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find(std::to_string(prog.num_tiles) + " tiles"),
+                  std::string::npos)
+            << what;
+    }
 }
 
 TEST(ChipSim, StatsMatchRecordedReference)

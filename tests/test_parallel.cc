@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -83,6 +84,94 @@ TEST_F(ParallelTest, FirstExceptionPropagatesToCaller)
     std::atomic<size_t> count{0};
     pool.parallelFor(50, [&](size_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 50u);
+}
+
+/**
+ * Back-to-back tiny regions, the DES window pattern: idle workers are
+ * still spinning when the next region is published, so this drives
+ * the join gate and the generation handoff hardest. Every index of
+ * every region must run exactly once and before parallelFor returns.
+ */
+TEST_F(ParallelTest, BackToBackTinyRegionsRunEveryIndex)
+{
+    constexpr size_t kRegions = 200000;
+    constexpr size_t kSizes[] = {2, 3, 7};
+    for (unsigned threads : {2u, 4u}) {
+        ThreadPool pool(threads);
+        std::vector<uint64_t> out(7);
+        size_t bad = 0;
+        for (size_t r = 0; r < kRegions; ++r) {
+            const size_t n = kSizes[r % 3];
+            pool.parallelFor(n, [&](size_t i) { out[i] = r * 8 + i; });
+            for (size_t i = 0; i < n; ++i)
+                bad += out[i] != r * 8 + i;
+        }
+        EXPECT_EQ(bad, 0u) << "threads=" << threads;
+    }
+}
+
+TEST_F(ParallelTest, ThrowInTinyRegionLeavesPoolUsable)
+{
+    ThreadPool pool(2);
+    for (int round = 0; round < 1000; ++round) {
+        EXPECT_THROW(pool.parallelFor(2,
+                                      [](size_t i) {
+                                          if (i == 1)
+                                              throw std::runtime_error(
+                                                  "boom");
+                                      }),
+                     std::runtime_error);
+        std::vector<int> hits(3, 0);
+        pool.parallelFor(3, [&](size_t i) { hits[i] += 1; });
+        EXPECT_EQ(hits, (std::vector<int>{1, 1, 1})) << "round " << round;
+    }
+}
+
+/**
+ * The barrier waits only for workers that joined: a caller whose
+ * region is drained returns without waiting for a parked worker to
+ * wake. Seen as a region whose indices the caller claimed alone and
+ * after which the only worker is still parked (a worker leaves the
+ * parked count before it can join).
+ */
+/// Marks the test's own thread, the one that calls parallelFor.
+thread_local bool tl_is_caller = false;
+
+TEST_F(ParallelTest, CallerDoesNotWaitForParkedWorker)
+{
+    ThreadPool pool(2);
+    tl_is_caller = true;
+    bool returned_while_parked = false;
+    for (int attempt = 0; attempt < 1000 && !returned_while_parked;
+         ++attempt) {
+        while (pool.parkedWorkers() == 0)
+            std::this_thread::yield();
+        std::atomic<size_t> by_caller{0}, by_worker{0};
+        pool.parallelFor(2, [&](size_t) {
+            (tl_is_caller ? by_caller : by_worker).fetch_add(1);
+        });
+        ASSERT_EQ(by_caller.load() + by_worker.load(), 2u);
+        returned_while_parked =
+            by_worker.load() == 0 && pool.parkedWorkers() == 1;
+    }
+    tl_is_caller = false;
+    EXPECT_TRUE(returned_while_parked);
+}
+
+/** Destroying a pool joins its workers, whether spinning or parked. */
+TEST_F(ParallelTest, DestroyJoinsSpinningAndParkedWorkers)
+{
+    for (int round = 0; round < 200; ++round) {
+        ThreadPool pool(4);
+        std::atomic<size_t> count{0};
+        pool.parallelFor(8, [&](size_t) { count.fetch_add(1); });
+        EXPECT_EQ(count.load(), 8u);
+        // Destroyed here while its workers spin for the next region.
+    }
+    ThreadPool pool(3);
+    pool.parallelFor(3, [](size_t) {});
+    while (pool.parkedWorkers() < 2)
+        std::this_thread::yield();
 }
 
 TEST_F(ParallelTest, NestedPoolRegionIsRejected)
