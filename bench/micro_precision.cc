@@ -5,7 +5,8 @@
  * rounding, scalar FP8 decode against the decode LUT), FMA datapaths,
  * chunked accumulation, quantizers, the reduced-precision GEMM
  * executors, the cycle-level systolic simulator, the ring
- * interconnect, the chip-level simulator, and the fork-join pool.
+ * interconnect, the chip-level simulator, the fork-join pool, and
+ * the analytical models behind the serving latency tables.
  */
 
 #include <functional>
@@ -15,11 +16,15 @@
 
 #include "common/parallel.hh"
 #include "common/random.hh"
+#include "compiler/precision_assign.hh"
 #include "func/quantized_ops.hh"
 #include "interconnect/mni.hh"
+#include "llm/llm_sim.hh"
+#include "perf/perf_model.hh"
 #include "precision/decode_lut.hh"
 #include "sim/chip_sim.hh"
 #include "sim/systolic.hh"
+#include "workloads/networks.hh"
 
 namespace rapid {
 namespace {
@@ -251,6 +256,41 @@ BM_ParallelForTiny(benchmark::State &state)
         pool.parallelFor(2, noop);
 }
 BENCHMARK(BM_ParallelForTiny);
+
+/** One analytical evaluation of resnet50 at INT4, batch 8. */
+void
+BM_PerfModelEvaluate(benchmark::State &state)
+{
+    const Network net = makeResnet50();
+    PrecisionOptions popts;
+    popts.target = Precision::INT4;
+    const ExecutionPlan plan = assignPrecision(net, popts);
+    const PerfModel perf(makeInferenceChip());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(perf.evaluate(net, plan, 8).total_seconds);
+}
+BENCHMARK(BM_PerfModelEvaluate);
+
+/**
+ * LlmSim construction over llm-small at max_batch 32: almost all of it
+ * is the prefill and decode latency-table builds.
+ */
+void
+BM_LlmSimConstruct(benchmark::State &state)
+{
+    LlmServeConfig cfg;
+    cfg.model = "llm-small";
+    cfg.max_batch = 32;
+    LlmTenantConfig chat;
+    chat.name = "chat";
+    cfg.tenants.push_back(chat);
+    const ChipConfig chip = makeInferenceChip();
+    for (auto _ : state) {
+        const LlmSim sim(chip, cfg);
+        benchmark::DoNotOptimize(sim.decodeNs(Precision::INT4, 64, 32));
+    }
+}
+BENCHMARK(BM_LlmSimConstruct)->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace rapid

@@ -9,19 +9,22 @@
  *    indices from a shared atomic counter, but results are always
  *    gathered *by index* (parallelMap writes out[i]), so the output
  *    is independent of which thread ran what and in which order.
- *  - No shared mutable state crosses tasks. Reductions (argmin over
- *    mapping candidates, cycle accumulation over layers) happen
- *    serially at the barrier, in the same order a serial loop would
- *    use, so floating-point results are bit-identical at any thread
- *    count.
+ *  - No shared mutable state crosses tasks. Reductions (best design
+ *    point of a sweep, totals over scenarios) happen serially at the
+ *    barrier, in the same order a serial loop would use, so
+ *    floating-point results are bit-identical at any thread count.
+ *  - Grain: regions fork over design points and scenarios (table
+ *    points, figure grids, simulator batches), never inside one
+ *    network evaluation, whose layers and mapping candidates cost
+ *    well under a microsecond each.
  *
  * ThreadPool::parallelFor is strict: calling it from inside a pool
  * task throws std::logic_error (nested fork-join on one pool would
  * deadlock or oversubscribe). The free rapid::parallelFor helper is
  * what library code uses: it degrades to a serial loop when already
- * inside a task, so e.g. the dataflow mapper's candidate sweep stays
- * correct whether or not the perf model already parallelized over
- * layers above it.
+ * inside a task, so e.g. a latency table's point sweep stays correct
+ * whether the table is built at top level or inside a bench's
+ * scenario sweep.
  *
  * Fork-join protocol (spin, then park). The DES engine forks one
  * region per barrier window, and a fleet window carries only a few

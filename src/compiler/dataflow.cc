@@ -1,11 +1,9 @@
 #include "compiler/dataflow.hh"
 
 #include <limits>
-#include <vector>
 
 #include "common/bitfield.hh"
 #include "common/logging.hh"
-#include "common/parallel.hh"
 
 namespace rapid {
 
@@ -74,42 +72,56 @@ DataflowMapper::workers() const
     return int(chip_.activeCores() * chip_.core.corelets);
 }
 
+DataflowMapper::SplitInvariants
+DataflowMapper::splitInvariants(const MappedShape &shape, Precision p)
+    const
+{
+    SplitInvariants inv;
+    inv.red_cap = reductionCap(p);
+    inv.out_cap = outputCap();
+    inv.n_red = divCeil(shape.reduction, inv.red_cap);
+    // LRF block-loads: each (co, reduction) tile loads a padded
+    // red_cap x out_cap x kernel weight block from L1 at the corelet's
+    // L1 bandwidth.
+    inv.tile_bytes = double(inv.red_cap) * inv.out_cap * shape.kernel *
+                     operandBytes(p);
+    return inv;
+}
+
 Mapping
 DataflowMapper::evaluateSplit(const MappedShape &shape, Precision p,
                               int workers_co, int workers_pos) const
 {
-    const int64_t red_cap = reductionCap(p);
-    const int64_t out_cap = outputCap();
+    return evaluateSplit(shape, splitInvariants(shape, p), workers_co,
+                         workers_pos);
+}
 
+Mapping
+DataflowMapper::evaluateSplit(const MappedShape &shape,
+                              const SplitInvariants &inv,
+                              int workers_co, int workers_pos) const
+{
     const int64_t co_local = divCeil(shape.outputs,
                                      int64_t(workers_co));
     const int64_t pos_local = divCeil(shape.positions,
                                       int64_t(workers_pos));
-
-    const int64_t n_co = divCeil(co_local, out_cap);
-    const int64_t n_red = divCeil(shape.reduction, red_cap);
+    const int64_t n_co = divCeil(co_local, inv.out_cap);
 
     Mapping m;
     m.workers_co = workers_co;
     m.workers_pos = workers_pos;
     m.compute_cycles =
-        double(n_co) * n_red * shape.kernel * pos_local;
+        double(n_co) * inv.n_red * shape.kernel * pos_local;
 
-    // LRF block-loads: each (co, reduction) tile loads a padded
-    // red_cap x out_cap x kernel weight block from L1 at the corelet's
-    // L1 bandwidth. Position-split workers replicate the same loads.
-    const double tile_bytes = double(red_cap) * out_cap * shape.kernel *
-                              operandBytes(p);
-    const double load_cycles_per_walk =
-        double(n_co) * n_red * tile_bytes /
-        chip_.core.l1_bw_bytes_per_cycle;
-    m.block_load_cycles = load_cycles_per_walk;
+    // Position-split workers replicate the same block-loads.
+    m.block_load_cycles = double(n_co) * inv.n_red * inv.tile_bytes /
+                          chip_.core.l1_bw_bytes_per_cycle;
 
     const double macs = double(shape.reduction) * shape.outputs *
                         shape.kernel * shape.positions;
     const double peak =
-        m.totalCycles() * double(workers_co) * workers_pos * red_cap *
-        out_cap;
+        m.totalCycles() * double(workers_co) * workers_pos *
+        inv.red_cap * inv.out_cap;
     m.utilization = peak > 0 ? macs / peak : 0.0;
     return m;
 }
@@ -119,25 +131,19 @@ DataflowMapper::map(const Layer &layer, int64_t batch, Precision p)
     const
 {
     const MappedShape shape = mappedShape(layer, batch);
+    const SplitInvariants inv = splitInvariants(shape, p);
     const int w = workers();
 
     // The compiler's design-space exploration: every divisor split of
-    // the workers is an independent candidate, so they evaluate in
-    // parallel and the argmin below scans the gathered results in the
-    // same order a serial loop would, keeping the chosen mapping
-    // bit-identical at any thread count.
-    std::vector<int> splits;
-    for (int w_co = 1; w_co <= w; ++w_co)
-        if (w % w_co == 0)
-            splits.push_back(w_co);
-    const std::vector<Mapping> candidates =
-        parallelMap(splits.size(), [&](size_t i) {
-            return evaluateSplit(shape, p, splits[i], w / splits[i]);
-        });
-
+    // the workers, in ascending w_co order; the first minimum wins.
+    // A handful of candidates of a few flops each, so the scan is
+    // serial (sweeps parallelize over design points above this call).
     Mapping best;
     double best_cycles = std::numeric_limits<double>::infinity();
-    for (const Mapping &m : candidates) {
+    for (int w_co = 1; w_co <= w; ++w_co) {
+        if (w % w_co != 0)
+            continue;
+        const Mapping m = evaluateSplit(shape, inv, w_co, w / w_co);
         const double cycles = m.totalCycles() * layer.repeat;
         if (cycles < best_cycles) {
             best_cycles = cycles;

@@ -94,6 +94,22 @@ class DataflowMapper
                           int workers_co, int workers_pos) const;
 
   private:
+    /// The terms of evaluateSplit that do not depend on the split,
+    /// computed once per map() call.
+    struct SplitInvariants
+    {
+        int64_t red_cap;   ///< reductionCap(p)
+        int64_t out_cap;   ///< outputCap()
+        int64_t n_red;     ///< reduction tiles
+        double tile_bytes; ///< bytes of one LRF weight block
+    };
+
+    SplitInvariants splitInvariants(const MappedShape &shape,
+                                    Precision p) const;
+    Mapping evaluateSplit(const MappedShape &shape,
+                          const SplitInvariants &inv, int workers_co,
+                          int workers_pos) const;
+
     ChipConfig chip_;
 };
 

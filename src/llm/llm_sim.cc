@@ -27,20 +27,15 @@ countBuckets(const LlmModelConfig &model)
     return n;
 }
 
-/**
- * Two networks per bucket: prefill at index 2*bi, decode step at
- * 2*bi + 1 — every (bucket, act precision, batch) point frozen once.
- */
+/** One network per context bucket: prefill, or one decode step. */
 std::vector<Network>
-buildBucketNetworks(const LlmModelConfig &model, size_t num_buckets)
+buildBucketNetworks(const LlmModelConfig &model, size_t num_buckets,
+                    Network (*make)(const LlmModelConfig &, int64_t))
 {
     std::vector<Network> nets;
-    nets.reserve(2 * num_buckets);
-    for (size_t bi = 0; bi < num_buckets; ++bi) {
-        const int64_t tokens = 64ll << bi;
-        nets.push_back(makeLlmPrefill(model, tokens));
-        nets.push_back(makeLlmDecodeStep(model, tokens));
-    }
+    nets.reserve(num_buckets);
+    for (size_t bi = 0; bi < num_buckets; ++bi)
+        nets.push_back(make(model, 64ll << bi));
     return nets;
 }
 
@@ -52,8 +47,14 @@ LlmSim::LlmSim(const ChipConfig &chip, const LlmServeConfig &cfg)
     : chip_((validateLlmConfig(cfg), validateChipConfig(chip), chip)),
       cfg_(cfg), model_(llmModelByName(cfg.model)),
       num_buckets_(countBuckets(model_)),
-      table_(chip_, buildBucketNetworks(model_, num_buckets_),
-             llmTablePrecisions(cfg), cfg.max_batch, cfg.fault)
+      prefill_table_(chip_,
+                     buildBucketNetworks(model_, num_buckets_,
+                                         makeLlmPrefill),
+                     llmTablePrecisions(cfg), 1, cfg.fault),
+      decode_table_(chip_,
+                    buildBucketNetworks(model_, num_buckets_,
+                                        makeLlmDecodeStep),
+                    llmTablePrecisions(cfg), cfg.max_batch, cfg.fault)
 {
 }
 
@@ -70,29 +71,29 @@ LlmSim::bucketFor(int64_t tokens) const
 int64_t
 LlmSim::prefillNs(Precision act, int64_t prompt_tokens) const
 {
-    return table_.latencyNs(2 * bucketFor(prompt_tokens), act, 1);
+    return prefill_table_.latencyNs(bucketFor(prompt_tokens), act, 1);
 }
 
 double
 LlmSim::prefillEnergyJ(Precision act, int64_t prompt_tokens) const
 {
-    return table_.energyJ(2 * bucketFor(prompt_tokens), act, 1);
+    return prefill_table_.energyJ(bucketFor(prompt_tokens), act, 1);
 }
 
 int64_t
 LlmSim::decodeNs(Precision act, int64_t max_context_tokens,
                  int64_t batch) const
 {
-    return table_.latencyNs(2 * bucketFor(max_context_tokens) + 1,
-                            act, batch);
+    return decode_table_.latencyNs(bucketFor(max_context_tokens), act,
+                                   batch);
 }
 
 double
 LlmSim::decodeEnergyJ(Precision act, int64_t max_context_tokens,
                       int64_t batch) const
 {
-    return table_.energyJ(2 * bucketFor(max_context_tokens) + 1, act,
-                          batch);
+    return decode_table_.energyJ(bucketFor(max_context_tokens), act,
+                                 batch);
 }
 
 LlmResult

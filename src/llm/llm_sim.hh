@@ -4,9 +4,9 @@
  * requests (prompt + output token counts) flow through a token-level
  * SLA router into per-mode decode groups; a DecodeBatcher schedules
  * prefill passes and decode steps on the single serialized executor,
- * charging virtual time from a frozen LatencyTable over
- * power-of-two context buckets plus the KV-cache spill penalty of
- * kv_cache.hh.
+ * charging virtual time from frozen prefill and decode-step
+ * LatencyTables over power-of-two context buckets plus the KV-cache
+ * spill penalty of kv_cache.hh.
  *
  * Router policy: at admission the router walks the (activation, KV)
  * mode ladder cheapest-first, skips modes below the tenant's quality
@@ -123,23 +123,23 @@ struct LlmResult
     int64_t end_ns = 0; ///< virtual time at drain
 };
 
-/** The simulator: frozen latency table over context buckets. */
+/** The simulator: frozen latency tables over context buckets. */
 class LlmSim
 {
   public:
     /**
-     * Compiles and freezes the latency table: for every power-of-two
-     * context bucket (64 .. model max_context), a prefill network and
-     * a decode-step network, each evaluated at every ladder
-     * activation precision and batch 1..max_batch. Throws
-     * rapid::Error on an invalid scenario or chip.
+     * Compiles and freezes two latency tables over the power-of-two
+     * context buckets (64 .. model max_context), each evaluated at
+     * every ladder activation precision: a prefill table at batch 1,
+     * the only batch a prefill is charged at, and a decode-step table
+     * at batch 1..max_batch. Throws rapid::Error on an invalid
+     * scenario or chip.
      */
     LlmSim(const ChipConfig &chip, const LlmServeConfig &cfg);
 
     const LlmServeConfig &config() const { return cfg_; }
     const LlmModelConfig &model() const { return model_; }
     const ChipConfig &chip() const { return chip_; }
-    const LatencyTable &table() const { return table_; }
 
     size_t numBuckets() const { return num_buckets_; }
     /** Token capacity of bucket @p bi (64 << bi). */
@@ -167,7 +167,8 @@ class LlmSim
     LlmServeConfig cfg_;
     LlmModelConfig model_;
     size_t num_buckets_ = 0;
-    LatencyTable table_;
+    LatencyTable prefill_table_; ///< one network per bucket, batch 1
+    LatencyTable decode_table_;  ///< one network per bucket
 };
 
 /**

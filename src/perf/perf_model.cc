@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "common/parallel.hh"
 
 namespace rapid {
 
@@ -202,15 +201,13 @@ PerfModel::evaluate(const Network &net, const ExecutionPlan &plan,
     result.batch = batch;
 
     const bool weights_resident = weightsFitOnChip(net, plan);
-    // Layers are independent given the plan, so they evaluate in
-    // parallel; the accumulation below runs serially in layer order,
-    // so totals are bit-identical to a serial evaluation at any
-    // thread count.
-    result.layers = parallelMap(net.layers.size(), [&](size_t i) {
-        return evaluateLayer(net.layers[i], plan.at(i), batch,
-                             weights_resident);
-    });
-    for (const LayerPerf &lp : result.layers) {
+    // One network evaluation is a serial layer loop: a layer costs a
+    // few hundred nanoseconds, so sweeps parallelize over design
+    // points above this call instead.
+    result.layers.reserve(net.layers.size());
+    for (size_t i = 0; i < net.layers.size(); ++i) {
+        const LayerPerf &lp = result.layers.emplace_back(evaluateLayer(
+            net.layers[i], plan.at(i), batch, weights_resident));
         result.breakdown += lp.cycles;
         result.total_seconds += lp.seconds;
         result.total_macs += lp.macs;
@@ -275,26 +272,17 @@ TrainingPerfModel::evaluate(const Network &net, Precision precision,
     popts.target = precision;
     ExecutionPlan plan = assignPrecision(net, popts);
 
-    // Per-layer forward costs are independent; evaluate them in
-    // parallel and merge serially in layer order below so the result
-    // is bit-identical at any thread count.
-    const std::vector<LayerPerf> fwd =
-        parallelMap(net.layers.size(), [&](size_t i) {
-            const Layer &layer = net.layers[i];
-            const bool aux = layer.type == LayerType::Aux;
-            return chip_model.evaluateLayer(
-                layer, plan.at(i), batch_local,
-                aux || weights_resident);
-        });
-
+    // A serial layer loop, like PerfModel::evaluate.
     bool first_compute_seen = false;
     double total_cycles = 0;
     double act_traffic_bytes = 0;
     for (size_t i = 0; i < net.layers.size(); ++i) {
         const Layer &layer = net.layers[i];
         const LayerPlan &lp = plan.at(i);
-        const LayerPerf &f = fwd[i];
-        if (layer.type == LayerType::Aux) {
+        const bool aux = layer.type == LayerType::Aux;
+        const LayerPerf f = chip_model.evaluateLayer(
+            layer, lp, batch_local, aux || weights_resident);
+        if (aux) {
             // Forward activation, backward activation-gradient, and
             // the BN-statistics / optimizer elementwise work.
             total_cycles += 3.0 * f.cycles.total();

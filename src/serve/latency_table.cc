@@ -5,9 +5,9 @@
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
+#include "compiler/precision_assign.hh"
 #include "perf/perf_model.hh"
 #include "power/power_model.hh"
-#include "runtime/session.hh"
 
 namespace rapid {
 
@@ -42,44 +42,49 @@ LatencyTable::LatencyTable(const ChipConfig &chip,
                     max_batch);
     for (Precision p : precisions)
         has_precision_[precIndex(p)] = true;
+    std::vector<Precision> modes; // deduplicated, in enum order
+    for (size_t i = 0; i < kNumPrecisionModes; ++i)
+        if (has_precision_[i])
+            modes.push_back(Precision(i));
 
     entries_.resize(num_networks_ * kNumPrecisionModes *
                     size_t(max_batch));
 
+    // The models validate the chip and the fault scenario, the checks
+    // an InferenceSession run makes; the plan does not depend on the
+    // batch, so each (network, precision) is compiled once.
+    const PerfModel perf(chip, fault);
+    const PowerModel power(chip);
+    std::vector<ExecutionPlan> plans;
+    plans.reserve(networks.size() * modes.size());
+    for (const Network &net : networks)
+        for (Precision p : modes) {
+            PrecisionOptions popts;
+            popts.target = p;
+            plans.push_back(assignPrecision(net, popts));
+        }
+
     // Every (network, precision, batch) point is an independent
-    // compile-and-evaluate; sweep them in parallel and gather by
-    // index so the frozen table is bit-identical at any thread count.
-    const size_t points =
-        networks.size() * precisions.size() * size_t(max_batch);
-    const std::vector<LatencyEntry> results =
-        parallelMap(points, [&](size_t idx) -> LatencyEntry {
-            const size_t per_net = precisions.size() * size_t(max_batch);
-            const size_t net = idx / per_net;
-            const Precision p = precisions[(idx % per_net) /
-                                           size_t(max_batch)];
-            const int64_t batch = 1 + int64_t(idx % size_t(max_batch));
-            InferenceSession session(chip, networks[net]);
-            InferenceOptions opts;
-            opts.target = p;
-            opts.batch = batch;
-            opts.fault = fault;
-            const InferenceResult r = session.run(opts);
-            LatencyEntry e;
-            const double ns = std::ceil(r.perf.total_seconds * 1e9);
-            e.latency_ns = ns < 1.0 ? 1 : int64_t(ns);
-            e.energy_j = r.energy.energy_j;
-            return e;
-        });
-    for (size_t idx = 0; idx < points; ++idx) {
-        const size_t per_net = precisions.size() * size_t(max_batch);
-        const size_t net = idx / per_net;
-        const Precision p =
-            precisions[(idx % per_net) / size_t(max_batch)];
-        const int64_t batch = 1 + int64_t(idx % size_t(max_batch));
-        entries_[(net * kNumPrecisionModes + precIndex(p)) *
-                     size_t(max_batch) +
-                 size_t(batch - 1)] = results[idx];
-    }
+    // evaluation writing its own slot, so the frozen table is
+    // bit-identical at any thread count.
+    const size_t per_plan = size_t(max_batch);
+    parallelFor(plans.size() * per_plan, [&](size_t idx) {
+        const size_t plan = idx / per_plan;
+        const size_t net = plan / modes.size();
+        const Precision p = modes[plan % modes.size()];
+        const int64_t batch = 1 + int64_t(idx % per_plan);
+        const NetworkPerf np =
+            perf.evaluate(networks[net], plans[plan], batch);
+        rapid_dassert(np.total_seconds > 0.0,
+                      "non-positive inference time");
+        LatencyEntry &e =
+            entries_[(net * kNumPrecisionModes + precIndex(p)) *
+                         per_plan +
+                     size_t(batch - 1)];
+        const double ns = std::ceil(np.total_seconds * 1e9);
+        e.latency_ns = ns < 1.0 ? 1 : int64_t(ns);
+        e.energy_j = power.evaluate(np, networks[net]).energy_j;
+    });
 }
 
 const LatencyEntry &

@@ -1,12 +1,14 @@
 /**
  * @file
  * Precomputed batch-latency / batch-energy table the serving
- * simulator charges virtual time from. Every (network, precision,
- * batch size) design point is compiled and evaluated once through the
- * existing PerfModel/PowerModel (including fault-induced retry
- * cycles), in parallel across points with results gathered by index,
- * then frozen as integer nanoseconds — so the event-driven simulation
- * on top is bit-identical at any thread count.
+ * simulator charges virtual time from. Each (network, precision) is
+ * compiled once (the precision plan does not depend on the batch);
+ * every (network, precision, batch size) design point is then
+ * evaluated through one PerfModel/PowerModel pair per table
+ * (including fault-induced retry cycles), in parallel across points,
+ * each writing its own slot. Entries equal what an InferenceSession
+ * run reports at that point, frozen as integer nanoseconds, so the
+ * event-driven simulation on top is bit-identical at any thread count.
  */
 
 #ifndef RAPID_SERVE_LATENCY_TABLE_HH

@@ -82,7 +82,7 @@ Network makeLlmDecodeStep(const LlmModelConfig &m,
 /** All 11 benchmarks in the paper's presentation order. */
 std::vector<Network> allBenchmarks();
 
-/** Look up a benchmark by name; fatal on unknown names. */
+/** Build the one benchmark named @p name; fatal on unknown names. */
 Network benchmarkByName(const std::string &name);
 
 /**

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "workloads/net_builder.hh"
 
@@ -108,21 +109,48 @@ makeBiLstmSwb(int64_t seq_len)
     return std::move(b).build();
 }
 
+namespace {
+
+/** A benchmark's network name and the builder that makes it. */
+struct BenchmarkBuilder
+{
+    const char *name;
+    Network (*build)();
+};
+
+/** The 11 benchmarks in the paper's presentation order. */
+constexpr BenchmarkBuilder kBenchmarks[] = {
+    {"vgg16", makeVgg16},
+    {"resnet50", makeResnet50},
+    {"inception3", makeInceptionV3},
+    {"inception4", makeInceptionV4},
+    {"mobilenetv1", makeMobilenetV1},
+    {"ssd300", makeSsd300},
+    {"yolov3", makeYolov3},
+    {"yolov3-tiny", makeYolov3Tiny},
+    {"bert", [] { return makeBert(); }},
+    {"lstm", [] { return makeLstmPtb(); }},
+    {"speech", [] { return makeBiLstmSwb(); }},
+};
+
+} // namespace
+
 std::vector<Network>
 allBenchmarks()
 {
-    return {makeVgg16(),      makeResnet50(),  makeInceptionV3(),
-            makeInceptionV4(), makeMobilenetV1(), makeSsd300(),
-            makeYolov3(),     makeYolov3Tiny(), makeBert(),
-            makeLstmPtb(),    makeBiLstmSwb()};
+    std::vector<Network> nets;
+    nets.reserve(std::size(kBenchmarks));
+    for (const BenchmarkBuilder &b : kBenchmarks)
+        nets.push_back(b.build());
+    return nets;
 }
 
 Network
 benchmarkByName(const std::string &name)
 {
-    for (auto &net : allBenchmarks())
-        if (net.name == name)
-            return net;
+    for (const BenchmarkBuilder &b : kBenchmarks)
+        if (name == b.name)
+            return b.build();
     rapid_fatal("unknown benchmark '", name, "'");
 }
 

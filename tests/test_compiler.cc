@@ -8,7 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "compiler/codegen.hh"
+#include "compiler/dataflow.hh"
 #include "compiler/precision_assign.hh"
 #include "compiler/tiling.hh"
 #include "workloads/networks.hh"
@@ -173,6 +178,85 @@ TEST(Codegen, FmmaSlotsMatchAnalyticalMapping)
         EXPECT_DOUBLE_EQ(double(prog.fmma_slots), m.compute_cycles)
             << precisionName(p);
     }
+}
+
+/**
+ * The mapper's spec: every divisor split of the workers, in ascending
+ * workers_co order, costed by evaluateSplit; the first split with the
+ * fewest total cycles (x repeat) wins, then repeats scale the cycles.
+ * Sets @p tied when another split reaches the same minimum.
+ */
+Mapping
+bruteForceMap(const DataflowMapper &mapper, const Layer &l,
+              int64_t batch, Precision p, bool &tied)
+{
+    const MappedShape shape = mappedShape(l, batch);
+    const int w = mapper.workers();
+    std::vector<Mapping> all;
+    for (int w_co = 1; w_co <= w; ++w_co)
+        if (w % w_co == 0)
+            all.push_back(mapper.evaluateSplit(shape, p, w_co, w / w_co));
+    auto cycles = [&](const Mapping &m) {
+        return m.totalCycles() * l.repeat;
+    };
+    const auto best = std::min_element(
+        all.begin(), all.end(), [&](const Mapping &a, const Mapping &b) {
+            return cycles(a) < cycles(b);
+        });
+    tied = std::count_if(all.begin(), all.end(), [&](const Mapping &m) {
+               return cycles(m) == cycles(*best);
+           }) > 1;
+    Mapping m = *best;
+    m.compute_cycles *= l.repeat;
+    m.block_load_cycles *= l.repeat;
+    return m;
+}
+
+TEST(Dataflow, MapEqualsBruteForceArgmin)
+{
+    const std::vector<Network> nets = allBenchmarks();
+    const ChipConfig chips[] = {
+        makeInferenceChip(), makeDegradedInferenceChip(1, 1),
+        makeDegradedInferenceChip(2, 1), makeDegradedInferenceChip(3, 1)};
+    size_t checked = 0, ties = 0;
+    for (const ChipConfig &chip : chips) {
+        const DataflowMapper mapper(chip);
+        for (const Network &net : nets)
+            for (const Layer &l : net.layers) {
+                if (!l.isCompute())
+                    continue;
+                for (Precision p : {Precision::FP16, Precision::HFP8,
+                                    Precision::INT4, Precision::INT2})
+                    for (int64_t batch : {1, 3, 8, 64}) {
+                        bool tied = false;
+                        const Mapping want =
+                            bruteForceMap(mapper, l, batch, p, tied);
+                        const Mapping got = mapper.map(l, batch, p);
+                        const auto where = [&] {
+                            return net.name + "/" + l.name + " " +
+                                   precisionName(p) + " b=" +
+                                   std::to_string(batch) + " workers=" +
+                                   std::to_string(mapper.workers());
+                        };
+                        EXPECT_EQ(got.workers_co, want.workers_co)
+                            << where();
+                        EXPECT_EQ(got.workers_pos, want.workers_pos)
+                            << where();
+                        EXPECT_EQ(got.compute_cycles, want.compute_cycles)
+                            << where();
+                        EXPECT_EQ(got.block_load_cycles,
+                                  want.block_load_cycles)
+                            << where();
+                        EXPECT_EQ(got.utilization, want.utilization)
+                            << where();
+                        ++checked;
+                        ties += tied;
+                    }
+            }
+    }
+    EXPECT_GT(checked, 10000u);
+    // Ties exist, so the first-minimum rule is exercised.
+    EXPECT_GT(ties, 0u);
 }
 
 TEST(Codegen, TransfersCoverWeightFootprint)

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -19,6 +20,8 @@
 #include "llm/llm_metrics.hh"
 #include "llm/llm_sim.hh"
 #include "llm/llm_workload.hh"
+#include "runtime/session.hh"
+#include "workloads/networks.hh"
 
 using namespace rapid;
 
@@ -199,6 +202,57 @@ TEST_F(LlmTest, StepsAreSerializedOnTheExecutor)
         EXPECT_LE(s.live, s.batch);
         EXPECT_LE(s.batch, cfg.max_batch);
         prev_done = s.completion_ns;
+    }
+}
+
+/** One session-evaluated point, frozen the way a table freezes it. */
+LatencyEntry
+sessionEntry(const ChipConfig &chip, const Network &net, Precision p,
+             int64_t batch, const FaultConfig &fault)
+{
+    InferenceOptions opts;
+    opts.target = p;
+    opts.batch = batch;
+    opts.fault = fault;
+    const InferenceResult r = InferenceSession(chip, net).run(opts);
+    const double ns = std::ceil(r.perf.total_seconds * 1e9);
+    return {ns < 1.0 ? 1 : int64_t(ns), r.energy.energy_j};
+}
+
+TEST_F(LlmTest, TablesMatchSessionReference)
+{
+    FaultConfig retries = FaultConfig::withRate(2e-7);
+    retries.protectAll(parityProtection(64.0));
+    for (const FaultConfig &fault : {FaultConfig{}, retries}) {
+        LlmServeConfig cfg = microConfig(400.0);
+        cfg.fault = fault;
+        const ChipConfig chip = makeInferenceChip();
+        const LlmSim sim(chip, cfg);
+        const LlmModelConfig &m = sim.model();
+        for (size_t bi = 0; bi < sim.numBuckets(); ++bi) {
+            const int64_t tokens = sim.bucketTokens(bi);
+            const Network prefill = makeLlmPrefill(m, tokens);
+            const Network decode = makeLlmDecodeStep(m, tokens);
+            for (Precision p : llmTablePrecisions(cfg)) {
+                const LatencyEntry pe =
+                    sessionEntry(chip, prefill, p, 1, fault);
+                EXPECT_EQ(sim.prefillNs(p, tokens), pe.latency_ns)
+                    << "bucket " << bi << " " << precisionName(p);
+                EXPECT_EQ(sim.prefillEnergyJ(p, tokens), pe.energy_j)
+                    << "bucket " << bi << " " << precisionName(p);
+                for (int64_t b = 1; b <= cfg.max_batch; ++b) {
+                    const LatencyEntry de =
+                        sessionEntry(chip, decode, p, b, fault);
+                    EXPECT_EQ(sim.decodeNs(p, tokens, b), de.latency_ns)
+                        << "bucket " << bi << " " << precisionName(p)
+                        << " b=" << b;
+                    EXPECT_EQ(sim.decodeEnergyJ(p, tokens, b),
+                              de.energy_j)
+                        << "bucket " << bi << " " << precisionName(p)
+                        << " b=" << b;
+                }
+            }
+        }
     }
 }
 

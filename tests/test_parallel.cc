@@ -189,8 +189,9 @@ TEST_F(ParallelTest, NestedFreeParallelForSerializesInline)
     std::vector<std::atomic<int>> hits(64);
     parallelFor(8, [&](size_t outer) {
         EXPECT_TRUE(ThreadPool::inTask());
-        // Library code underneath a parallel sweep (e.g. the mapper's
-        // candidate scan) falls back to its serial path.
+        // Library code underneath a parallel sweep (e.g. a latency
+        // table's point sweep inside a bench's scenario sweep) falls
+        // back to its serial path.
         parallelFor(8, [&](size_t inner) {
             hits[outer * 8 + inner].fetch_add(1);
         });
@@ -249,10 +250,9 @@ runInference(const Network &net, unsigned threads)
 }
 
 /**
- * Replay determinism for the inference stack: the layer evaluations
- * and the mapper's candidate sweep both run under the pool, and the
- * gathered-by-index reduction must make the result independent of
- * scheduling.
+ * Replay determinism for the inference stack: one network evaluation
+ * (layer loop and mapper candidate scan) runs serially on the calling
+ * thread, so the pool's size must leave no trace in the result.
  */
 TEST_F(ParallelTest, InferencePerfBitExactAcrossThreadCounts)
 {

@@ -14,14 +14,18 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "common/error.hh"
 #include "common/parallel.hh"
 #include "common/random.hh"
+#include "runtime/session.hh"
+#include "serve/latency_table.hh"
 #include "serve/metrics.hh"
 #include "serve/queue_delay.hh"
 #include "serve/server_sim.hh"
 #include "serve/workload.hh"
+#include "workloads/networks.hh"
 
 using namespace rapid;
 
@@ -340,6 +344,109 @@ TEST_F(ServeTest, FaultRetriesLengthenLatencyTable)
     for (int64_t b : {1, 8})
         EXPECT_GT(faulty.table().latencyNs(0, Precision::INT4, b),
                   clean.table().latencyNs(0, Precision::INT4, b));
+}
+
+// ---------------------------------------------------------------------
+// Latency table against the session path
+// ---------------------------------------------------------------------
+
+/** A chip and fault scenario a table is built for. */
+struct TableScenario
+{
+    const char *name;
+    ChipConfig chip;
+    FaultConfig fault;
+};
+
+std::vector<TableScenario>
+tableScenarios()
+{
+    FaultConfig retries = FaultConfig::withRate(2e-7);
+    retries.protectAll(parityProtection(64.0));
+    return {{"healthy", makeInferenceChip(), FaultConfig{}},
+            {"dead core + MPE row", makeDegradedInferenceChip(1, 1),
+             FaultConfig{}},
+            {"parity retries", makeInferenceChip(), retries}};
+}
+
+std::vector<Network>
+tableNetworks()
+{
+    return {benchmarkByName("resnet50"), benchmarkByName("mobilenetv1"),
+            benchmarkByName("bert")};
+}
+
+const std::vector<Precision> kTablePrecisions{
+    Precision::FP16, Precision::HFP8, Precision::INT4};
+
+TEST_F(ServeTest, LatencyTableMatchesInferenceSession)
+{
+    const std::vector<Network> nets = tableNetworks();
+    for (const TableScenario &sc : tableScenarios()) {
+        const LatencyTable table(sc.chip, nets, kTablePrecisions, 8,
+                                 sc.fault);
+        for (size_t n = 0; n < nets.size(); ++n) {
+            const InferenceSession session(sc.chip, nets[n]);
+            for (Precision p : kTablePrecisions)
+                for (int64_t b = 1; b <= 8; ++b) {
+                    InferenceOptions opts;
+                    opts.target = p;
+                    opts.batch = b;
+                    opts.fault = sc.fault;
+                    const InferenceResult r = session.run(opts);
+                    const double ns =
+                        std::ceil(r.perf.total_seconds * 1e9);
+                    const int64_t want = ns < 1.0 ? 1 : int64_t(ns);
+                    EXPECT_EQ(table.latencyNs(n, p, b), want)
+                        << sc.name << " " << nets[n].name << " "
+                        << precisionName(p) << " b=" << b;
+                    EXPECT_EQ(table.energyJ(n, p, b), r.energy.energy_j)
+                        << sc.name << " " << nets[n].name << " "
+                        << precisionName(p) << " b=" << b;
+                }
+        }
+    }
+}
+
+TEST_F(ServeTest, LatencyTableFieldIdenticalAcrossThreadCounts)
+{
+    const std::vector<Network> nets = tableNetworks();
+    for (const TableScenario &sc : tableScenarios()) {
+        ThreadPool::setDefaultThreads(1);
+        const LatencyTable serial(sc.chip, nets, kTablePrecisions, 8,
+                                  sc.fault);
+        ThreadPool::setDefaultThreads(4);
+        const LatencyTable wide(sc.chip, nets, kTablePrecisions, 8,
+                                sc.fault);
+        ASSERT_EQ(serial.numNetworks(), wide.numNetworks());
+        ASSERT_EQ(serial.maxBatch(), wide.maxBatch());
+        for (size_t n = 0; n < nets.size(); ++n)
+            for (Precision p : kTablePrecisions)
+                for (int64_t b = 1; b <= 8; ++b) {
+                    EXPECT_EQ(serial.latencyNs(n, p, b),
+                              wide.latencyNs(n, p, b));
+                    EXPECT_EQ(serial.energyJ(n, p, b),
+                              wide.energyJ(n, p, b));
+                }
+    }
+}
+
+TEST_F(ServeTest, LatencyTableRejectsBadInputs)
+{
+    const std::vector<Network> nets{benchmarkByName("mobilenetv1")};
+    const ChipConfig chip = makeInferenceChip();
+    EXPECT_THROW(LatencyTable(chip, nets, kTablePrecisions, 0,
+                              FaultConfig{}),
+                 Error);
+    ChipConfig dead = chip;
+    dead.dead_core_mask = (uint64_t(1) << dead.cores) - 1;
+    EXPECT_THROW(LatencyTable(dead, nets, kTablePrecisions, 1,
+                              FaultConfig{}),
+                 Error);
+    FaultConfig bad;
+    bad.rate = 1.5;
+    EXPECT_THROW(LatencyTable(chip, nets, kTablePrecisions, 1, bad),
+                 Error);
 }
 
 // ---------------------------------------------------------------------

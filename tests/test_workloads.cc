@@ -80,6 +80,42 @@ TEST(Workloads, AllElevenBenchmarksBuild)
     }
 }
 
+TEST(Workloads, BenchmarkByNameBuildsTheSameNetwork)
+{
+    for (const Network &want : allBenchmarks()) {
+        const Network got = benchmarkByName(want.name);
+        EXPECT_EQ(got.name, want.name);
+        EXPECT_EQ(got.domain, want.domain);
+        ASSERT_EQ(got.layers.size(), want.layers.size()) << want.name;
+        for (size_t i = 0; i < want.layers.size(); ++i) {
+            const Layer &g = got.layers[i];
+            const Layer &w = want.layers[i];
+            const std::string where = want.name + "/" + w.name;
+            EXPECT_EQ(g.name, w.name) << where;
+            EXPECT_EQ(g.type, w.type) << where;
+            EXPECT_EQ(g.ci, w.ci) << where;
+            EXPECT_EQ(g.co, w.co) << where;
+            EXPECT_EQ(g.h, w.h) << where;
+            EXPECT_EQ(g.w, w.w) << where;
+            EXPECT_EQ(g.kh, w.kh) << where;
+            EXPECT_EQ(g.kw, w.kw) << where;
+            EXPECT_EQ(g.stride, w.stride) << where;
+            EXPECT_EQ(g.pad_h, w.pad_h) << where;
+            EXPECT_EQ(g.pad_w, w.pad_w) << where;
+            EXPECT_EQ(g.groups, w.groups) << where;
+            EXPECT_EQ(g.gm, w.gm) << where;
+            EXPECT_EQ(g.gk, w.gk) << where;
+            EXPECT_EQ(g.gn, w.gn) << where;
+            EXPECT_EQ(g.aux_kind, w.aux_kind) << where;
+            EXPECT_EQ(g.aux_elems, w.aux_elems) << where;
+            EXPECT_EQ(g.repeat, w.repeat) << where;
+            EXPECT_EQ(g.weight_sparsity, w.weight_sparsity) << where;
+            EXPECT_EQ(g.accuracy_sensitive, w.accuracy_sensitive)
+                << where;
+        }
+    }
+}
+
 TEST(Workloads, UnknownBenchmarkIsFatal)
 {
     EXPECT_EXIT(benchmarkByName("nope"),
