@@ -2,7 +2,7 @@
  * @file
  * google-benchmark microbenchmarks of the emulation substrate: float
  * codec throughput (the generic codec against the inline DLFloat16
- * rounding, scalar FP8 decode against the decode LUT), FMA datapaths,
+ * and FP8 roundings), FMA datapaths,
  * chunked accumulation, quantizers, the reduced-precision GEMM
  * executors, the cycle-level systolic simulator, the ring
  * interconnect, the chip-level simulator, the fork-join pool, and
@@ -58,9 +58,9 @@ BENCHMARK(BM_DlFloat16QuantizeFast);
  * FP8 quantize pair: the same Laplace-shaped buffer (typical of
  * trained weights) through every 8-bit format the datapath uses, each
  * programmable forward bias plus the backward format. The scalar half
- * decodes with the bit-manipulation codec, the LUT half through the
- * 256-entry Fp8DecodeLut; the two are bit-identical (pinned by
- * tests/test_float_format.cc).
+ * runs the generic codec (encode, then decode); the Fp8DecodeLut half
+ * runs its quantize, which is the inline quantizeFp8. The two are
+ * bit-identical (pinned by tests/test_float_format.cc).
  */
 std::vector<float>
 fp8Buffer()

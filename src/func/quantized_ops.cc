@@ -1,12 +1,14 @@
 #include "func/quantized_ops.hh"
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <climits>
 #include <cmath>
 #include <vector>
 
 #include "common/error.hh"
 #include "common/logging.hh"
-#include "precision/decode_lut.hh"
 
 namespace rapid {
 
@@ -15,17 +17,18 @@ namespace {
 /**
  * Core reduction shared by all float-path executors: accumulate the
  * element products of two prepared operand vectors with chunked
- * DLFloat16 accumulation.
+ * DLFloat16 accumulation. Element i of @p b is b[i * b_stride].
  */
 float
 chunkedDot(const float *a, const float *b, int64_t n,
-           const ExecConfig &cfg)
+           const ExecConfig &cfg, int64_t b_stride = 1)
 {
     ChunkAccumulator acc(cfg.chunk_size, cfg.fp32_outer, cfg.rounding);
     for (int64_t i = 0; i < n; ++i) {
-        if (a[i] == 0.0f || b[i] == 0.0f)
+        const float bi = b[i * b_stride];
+        if (a[i] == 0.0f || bi == 0.0f)
             continue; // zero-gated FMA passes the accumulator through
-        const double term = double(a[i]) * double(b[i]);
+        const double term = double(a[i]) * double(bi);
         // A non-finite product means a poisoned operand (upstream
         // NaN, e.g. an injected fault that landed in a cached
         // activation or master weight). Guard before the accumulator
@@ -52,74 +55,208 @@ chunkedDot(const float *a, const float *b, int64_t n,
 /** Output columns one pass of chunkedMatmul accumulates side by side. */
 constexpr int64_t kLanes = 8;
 
+/** An F32x4 load from any float address. */
+using F32x4u =
+    float __attribute__((vector_size(16), aligned(4), may_alias));
+
+/** True if any lane of the mask @p m is set. */
+inline bool
+anyLane(I32x4 m)
+{
+    const auto halves = std::bit_cast<std::array<uint64_t, 2>>(m);
+    return (halves[0] | halves[1]) != 0;
+}
+
+/**
+ * ChunkAccumulator state of four output columns: the DLFloat16
+ * intra-chunk sums, the inter-chunk sums and the chunk fill counts.
+ */
+struct LaneQuad
+{
+    F32x4 chunk{};
+    F32x4 outer{};
+    I32x4 fill{};
+
+    /**
+     * ChunkAccumulator::add of a * b[l] on every lane l whose b[l] is
+     * not zero, in float32 arithmetic. For prepared operands that is
+     * the scalar path's float(double(chunk) + double(a) * double(b)):
+     * the product of two DLFloat16 values has at most 20 significant
+     * bits and an exponent within float32's normal range, so it is
+     * exact in float32, and a float32 add rounds the exact sum once,
+     * to nearest even. Rounding it to double first, as the scalar
+     * path does, cannot change that result, since double carries more
+     * than 2 * 24 + 1 bits.
+     */
+    template <Rounding Mode>
+    void
+    add(float a, F32x4 b)
+    {
+        const F32x4 sum = chunk + a * b;
+        const I32x4 live = b != 0.0f;
+        chunk = live ? quantizeDl16<Mode>(sum) : chunk;
+        fill -= live; // a set mask lane is -1
+    }
+
+    /** The inter-chunk fold of ChunkAccumulator (foldOuter). */
+    template <Rounding Mode>
+    static F32x4
+    fold(F32x4 outer_sum, F32x4 chunk_sum, bool fp32_outer)
+    {
+        return fp32_outer ? outer_sum + chunk_sum
+                          : quantizeDl16<Mode>(outer_sum + chunk_sum);
+    }
+
+    /** Fold and empty the lanes whose chunk is full. */
+    template <Rounding Mode>
+    void
+    foldFull(I32x4 full, bool fp32_outer)
+    {
+        outer = full ? fold<Mode>(outer, chunk, fp32_outer) : outer;
+        chunk = full ? F32x4{} : chunk;
+        fill = full ? I32x4{} : fill;
+    }
+
+    /** ChunkAccumulator::total, rounded to DLFloat16; @p finite
+     *  collects the lanes whose total is finite. */
+    template <Rounding Mode>
+    F32x4
+    result(bool fp32_outer, I32x4 &finite) const
+    {
+        const F32x4 total =
+            fill == 0 ? outer : fold<Mode>(outer, chunk, fp32_outer);
+        const U32x4 mag = std::bit_cast<U32x4>(total) & 0x7fffffffu;
+        finite &= std::bit_cast<I32x4>(mag) < int32_t(0x7f800000);
+        return quantizeDl16<Mode>(total);
+    }
+};
+
+/**
+ * kLanes outputs of one row: out[l] = the chunkedDot of @p a_row with
+ * column l of @p b, whose row kk starts at b + kk * ldb. @p nz lists
+ * the k where a_row is not zero, in order: a zero a gates every lane
+ * of its k step. Returns false when some lane's total is not finite;
+ * @p out is then not meaningful.
+ *
+ * That return is the whole poison check. A non-finite product on a
+ * live lane makes the sum Inf or NaN, which rounds to NaN; NaN
+ * survives every later add and fold, so that lane's total is NaN.
+ * The per-output chunkedDot faults exactly when a product or the
+ * total is not finite, so a group is replayed exactly when a
+ * per-output loop would have faulted in it.
+ */
+template <Rounding Mode>
+bool
+laneGroup(const float *a_row, const std::vector<int64_t> &nz,
+          const float *b, int64_t ldb, const ExecConfig &cfg, float *out)
+{
+    // A lane fills at most once per k step, so a chunk longer than k
+    // never fills; clamping keeps the count compare in int32.
+    const int32_t chunk_size = int32_t(
+        std::min<size_t>(cfg.chunk_size, size_t(INT32_MAX)));
+    LaneQuad lo, hi;
+    for (int64_t kk : nz) {
+        const auto *b_row = reinterpret_cast<const F32x4u *>(b + kk * ldb);
+        lo.add<Mode>(a_row[kk], b_row[0]);
+        hi.add<Mode>(a_row[kk], b_row[1]);
+        const I32x4 full_lo = lo.fill == chunk_size;
+        const I32x4 full_hi = hi.fill == chunk_size;
+        if (anyLane(full_lo | full_hi)) [[unlikely]] {
+            lo.foldFull<Mode>(full_lo, cfg.fp32_outer);
+            hi.foldFull<Mode>(full_hi, cfg.fp32_outer);
+        }
+    }
+    I32x4 finite = ~I32x4{};
+    auto *out_lanes = reinterpret_cast<F32x4u *>(out);
+    out_lanes[0] = lo.result<Mode>(cfg.fp32_outer, finite);
+    out_lanes[1] = hi.result<Mode>(cfg.fp32_outer, finite);
+    return !anyLane(~finite);
+}
+
+/** True if every element of @p t is a DLFloat16 value or a NaN. */
+bool
+dl16Operands(const Tensor &t)
+{
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        const float v = t[i];
+        if (!std::isnan(v) && std::bit_cast<uint32_t>(quantizeDl16(v)) !=
+                                  std::bit_cast<uint32_t>(v))
+            return false;
+    }
+    return true;
+}
+
 /**
  * Chunked-accumulation GEMM of prepared operands @p qa (M,K) and
  * @p qb (K,N), bit-identical to chunkedDot per output. Each row runs
  * kLanes output columns at a time, like the MPE array's one serial
  * accumulator per PE: every lane is its own ChunkAccumulator, fed in
  * the original k order and zero-gated on its own operands, so lanes
- * fill their chunks independently. The lanes' rounding chains are
- * independent, so they overlap where one serial dot would stall.
+ * fill their chunks independently. The lanes live in 16-byte vectors
+ * (laneGroup), and their rounding chains overlap where one serial dot
+ * would stall. The operands must be DLFloat16 values (FP8 values are
+ * too), as the lanes' float32 arithmetic is exact only for those.
  *
- * A tail of fewer than kLanes columns runs through chunkedDot. So
- * does a whole lane group that saw a non-finite product: replaying it
- * in column order raises the same NumericFault, from the same output,
- * that the per-output loop would.
+ * A tail of fewer than kLanes columns runs through the same kernel
+ * from a copy of those columns padded with zero columns: a lane whose
+ * b is zero never changes state, and its output is dropped. A lane
+ * group with a non-finite total is replayed through chunkedDot in
+ * column order, so it raises the same NumericFault, from the same
+ * output, that the per-output loop would.
  */
+template <Rounding Mode>
 Tensor
 chunkedMatmul(const Tensor &qa, const Tensor &qb, const ExecConfig &cfg)
 {
     const int64_t m = qa.dim(0), k = qa.dim(1), n = qb.dim(1);
     rapid_assert(qb.dim(0) == k, "matmul inner-dimension mismatch");
+    rapid_assert(cfg.chunk_size >= 1, "chunk size must be positive");
+    rapid_dassert(dl16Operands(qa) && dl16Operands(qb),
+                  "chunkedMatmul operands must be DLFloat16 values");
     Tensor out({m, n});
     const float *b = qb.data();
-    std::array<ChunkAccumulator, kLanes> lanes;
-    lanes.fill(ChunkAccumulator(cfg.chunk_size, cfg.fp32_outer,
-                                cfg.rounding));
-    std::vector<float> column(size_t(k), 0.0f);
-    auto column_dot = [&](const float *a_row, int64_t j) {
-        for (int64_t kk = 0; kk < k; ++kk)
-            column[size_t(kk)] = b[kk * n + j];
-        return chunkedDot(a_row, column.data(), k, cfg);
-    };
-
     const int64_t n_laned = n - n % kLanes;
+    std::vector<float> tail;
+    if (n_laned < n) {
+        tail.assign(size_t(k * kLanes), 0.0f);
+        for (int64_t kk = 0; kk < k; ++kk)
+            for (int64_t j = n_laned; j < n; ++j)
+                tail[size_t(kk * kLanes + j - n_laned)] = b[kk * n + j];
+    }
+    std::vector<int64_t> nz;
+    nz.reserve(size_t(k));
+    std::array<float, kLanes> group;
     for (int64_t i = 0; i < m; ++i) {
         const float *a_row = qa.data() + i * k;
         float *out_row = out.data() + i * n;
-        for (int64_t j0 = 0; j0 < n_laned; j0 += kLanes) {
-            for (ChunkAccumulator &acc : lanes)
-                acc.reset();
-            bool poisoned = false;
-            for (int64_t kk = 0; kk < k; ++kk) {
-                if (a_row[kk] == 0.0f)
-                    continue; // gates every lane of this k step
-                const double a = double(a_row[kk]);
-                const float *b_lanes = b + kk * n + j0;
-                for (int64_t l = 0; l < kLanes; ++l) {
-                    if (b_lanes[l] == 0.0f)
-                        continue;
-                    const double term = a * double(b_lanes[l]);
-                    if (!std::isfinite(term)) {
-                        poisoned = true; // replayed below
-                        continue;
-                    }
-                    lanes[size_t(l)].add(term);
-                }
-            }
-            for (int64_t l = 0; l < kLanes; ++l) {
-                const float total = lanes[size_t(l)].total();
-                poisoned = poisoned || !std::isfinite(total);
-                out_row[j0 + l] = quantizeDl16(total, cfg.rounding);
-            }
-            if (poisoned)
-                for (int64_t j = j0; j < j0 + kLanes; ++j)
-                    out_row[j] = column_dot(a_row, j);
+        nz.clear();
+        for (int64_t kk = 0; kk < k; ++kk)
+            if (a_row[kk] != 0.0f)
+                nz.push_back(kk);
+        for (int64_t j0 = 0; j0 < n; j0 += kLanes) {
+            const bool laned = j0 < n_laned;
+            const int64_t width = laned ? kLanes : n - j0;
+            const bool finite =
+                laned ? laneGroup<Mode>(a_row, nz, b + j0, n, cfg,
+                                        out_row + j0)
+                      : laneGroup<Mode>(a_row, nz, tail.data(), kLanes,
+                                        cfg, group.data());
+            if (!finite)
+                for (int64_t j = j0; j < j0 + width; ++j)
+                    out_row[j] = chunkedDot(a_row, b + j, k, cfg, n);
+            else if (!laned)
+                std::copy_n(group.begin(), width, out_row + j0);
         }
-        for (int64_t j = n_laned; j < n; ++j)
-            out_row[j] = column_dot(a_row, j);
     }
     return out;
+}
+
+Tensor
+chunkedMatmul(const Tensor &qa, const Tensor &qb, const ExecConfig &cfg)
+{
+    return withRounding(cfg.rounding, [&](auto mode) {
+        return chunkedMatmul<mode()>(qa, qb, cfg);
+    });
 }
 
 /** Gather a conv receptive field into contiguous operand vectors. */
@@ -156,37 +293,32 @@ gatherPatch(const Tensor &input, const T &weight_like, int64_t in_n,
     }
 }
 
-/**
- * The decode table of an FP8 flavour: one static table per (kind,
- * bias), built on first use. fp8e4m3() validates the bias before it
- * selects a table.
- */
-const Fp8DecodeLut &
-fp8Lut(Fp8Kind kind, int fwd_bias)
-{
-    static const Fp8DecodeLut backward(fp8e5m2());
-    if (kind == Fp8Kind::Backward)
-        return backward;
-    const FloatFormat fmt = fp8e4m3(fwd_bias);
-    static const std::vector<Fp8DecodeLut> forward = [] {
-        std::vector<Fp8DecodeLut> luts;
-        for (int bias = 1; bias <= 15; ++bias)
-            luts.emplace_back(fp8e4m3(bias));
-        return luts;
-    }();
-    return forward[size_t(fmt.bias() - 1)];
-}
-
 } // namespace
 
 Tensor
 quantizeTensorFp8(const Tensor &t, Fp8Kind kind, const ExecConfig &cfg)
 {
-    // Tabulated decode: a lookup per element instead of the full
-    // bit-manipulation decode (bit-identical; see decode_lut.hh).
-    const Fp8DecodeLut &lut = fp8Lut(kind, cfg.fwd_bias);
+    if (kind == Fp8Kind::Forward)
+        (void)fp8e4m3(cfg.fwd_bias); // rejects a bias outside [1, 15]
     Tensor out = t;
-    out.apply([&](float v) { return lut.quantize(v, cfg.rounding); });
+    float *v = out.data();
+    const int64_t n = out.numel(), n4 = n - n % 4;
+    auto quantize = [&](auto fp8_kind, auto mode) {
+        for (int64_t i = 0; i < n4; i += 4) {
+            auto *lanes = reinterpret_cast<F32x4u *>(v + i);
+            *lanes = quantizeFp8<fp8_kind(), mode()>(cfg.fwd_bias, *lanes);
+        }
+        for (int64_t i = n4; i < n; ++i)
+            v[i] = quantizeFp8(fp8_kind, cfg.fwd_bias, v[i], mode);
+    };
+    withRounding(cfg.rounding, [&](auto mode) {
+        if (kind == Fp8Kind::Forward)
+            quantize(std::integral_constant<Fp8Kind, Fp8Kind::Forward>{},
+                     mode);
+        else
+            quantize(std::integral_constant<Fp8Kind, Fp8Kind::Backward>{},
+                     mode);
+    });
     return out;
 }
 

@@ -11,7 +11,8 @@
  * once per encoding, which makes LUT-vs-scalar bit-identity true by
  * construction; the property test in tests/test_float_format.cc pins
  * it over all 256 encodings anyway, so a future "optimized" fill
- * cannot silently diverge.
+ * cannot silently diverge. Quantizing needs no table: it is
+ * quantizeFp8 on the float32 bits.
  */
 
 #ifndef RAPID_PRECISION_DECODE_LUT_HH
@@ -29,7 +30,8 @@ class Fp8DecodeLut
 {
   public:
     /** Tabulates @p fmt; throws rapid::Error (InvalidArgument) when
-     *  the format is not 8 bits wide. */
+     *  the format is not 8 bits wide or is not one of the two HFP8
+     *  formats (fp8e4m3 at some bias, or fp8e5m2). */
     explicit Fp8DecodeLut(const FloatFormat &fmt);
 
     const FloatFormat &format() const { return fmt_; }
@@ -41,16 +43,17 @@ class Fp8DecodeLut
         return table_[pattern & 0xFFu];
     }
 
-    /** encode() through the scalar codec, decode() through the
-     *  table: bit-identical to FloatFormat::quantize. */
+    /** quantizeFp8 in this format: bit-identical to
+     *  FloatFormat::quantize. */
     float
     quantize(float value, Rounding mode = Rounding::NearestEven) const
     {
-        return decode(fmt_.encode(value, mode));
+        return quantizeFp8(kind_, fmt_.bias(), value, mode);
     }
 
   private:
     FloatFormat fmt_;
+    Fp8Kind kind_;
     std::array<float, 256> table_;
 };
 

@@ -21,10 +21,11 @@
 #ifndef RAPID_PRECISION_FLOAT_FORMAT_HH
 #define RAPID_PRECISION_FLOAT_FORMAT_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <string>
+#include <type_traits>
 
 namespace rapid {
 
@@ -35,6 +36,27 @@ enum class Rounding
     NearestUp,   ///< Ties away from zero; used by the DLFloat FPU.
     Truncate,    ///< Round toward zero.
 };
+
+/**
+ * Call @p fn with @p mode as a compile-time constant, a
+ * std::integral_constant<Rounding, mode>, so that code templated or
+ * inlined on the mode is instantiated once per mode.
+ */
+template <typename Fn>
+decltype(auto)
+withRounding(Rounding mode, Fn &&fn)
+{
+    using enum Rounding;
+    switch (mode) {
+      case NearestEven:
+        return fn(std::integral_constant<Rounding, NearestEven>{});
+      case NearestUp:
+        return fn(std::integral_constant<Rounding, NearestUp>{});
+      case Truncate:
+        break;
+    }
+    return fn(std::integral_constant<Rounding, Truncate>{});
+}
 
 /**
  * A runtime-parameterized minifloat format description plus
@@ -118,6 +140,58 @@ class FloatFormat
 /** DLFloat16 (1,6,9), bias 31, no subnormals, merged NaN/Inf. */
 const FloatFormat &dlfloat16();
 
+/** Which FP8 flavour an HFP8 operand tensor uses (Figure 3). */
+enum class Fp8Kind
+{
+    Forward,  ///< FP8 (1,4,3) with programmable bias: weights/activations
+    Backward, ///< FP8 (1,5,2): error gradients
+};
+
+/** Four float32, uint32 or int32 lanes: one 16-byte vector register. */
+using F32x4 = float __attribute__((vector_size(16)));
+using U32x4 = uint32_t __attribute__((vector_size(16)));
+using I32x4 = int32_t __attribute__((vector_size(16)));
+
+namespace detail {
+
+constexpr uint32_t kSignBit = uint32_t(1) << 31;
+constexpr uint32_t kFloatInf = uint32_t(0xff) << 23;
+constexpr uint32_t kQuietNan = 0x7fc00000u;
+
+/**
+ * Round float32 magnitude bits @p mag (scalar or U32x4) to a
+ * significand @p drop bits shorter, in rounding mode @p mode: add the
+ * mode's rounding bias and clear the dropped bits. A carry out of the
+ * mantissa renormalizes the exponent on its own.
+ */
+template <typename U>
+constexpr U
+roundMagnitude(U mag, unsigned drop, Rounding mode)
+{
+    const uint32_t low = (uint32_t(1) << drop) - 1;
+    switch (mode) {
+      case Rounding::NearestEven:
+        mag += (low >> 1) + ((mag >> drop) & 1u);
+        break;
+      case Rounding::NearestUp:
+        mag += (low >> 1) + 1u;
+        break;
+      case Rounding::Truncate:
+        break;
+    }
+    return mag & ~low;
+}
+
+/** DLFloat16 (1,6,9) on float32 magnitude bits. */
+namespace dl16 {
+constexpr unsigned kDropBits = 23 - 9;
+constexpr uint32_t kFlushAtOrBelow = uint32_t(127 - 31) << 23;
+constexpr uint32_t kMaxFinite =
+    (uint32_t(127 + 31) << 23) | (uint32_t(0x1ff) << kDropBits);
+} // namespace dl16
+
+} // namespace detail
+
 /**
  * Fast DLFloat16 rounding: bit-identical to
  * `dlfloat16().quantize(value, mode)` for every float32 input and
@@ -140,35 +214,160 @@ const FloatFormat &dlfloat16();
 inline float
 quantizeDl16(float value, Rounding mode = Rounding::NearestEven)
 {
-    constexpr unsigned kDropBits = 23 - 9;
-    constexpr uint32_t kDropMask = (uint32_t(1) << kDropBits) - 1;
-    constexpr uint32_t kSignBit = uint32_t(1) << 31;
-    constexpr uint32_t kFloatInf = uint32_t(0xff) << 23;
-    constexpr uint32_t kFlushAtOrBelow = uint32_t(127 - 31) << 23;
-    constexpr uint32_t kMaxFinite =
-        (uint32_t(127 + 31) << 23) | (uint32_t(0x1ff) << kDropBits);
+    using namespace detail;
+    const uint32_t in = std::bit_cast<uint32_t>(value);
+    const uint32_t sign = in & kSignBit;
+    uint32_t mag = in & ~kSignBit;
+    if (mag >= kFloatInf)
+        return std::bit_cast<float>(kQuietNan);
+    mag = roundMagnitude(mag, dl16::kDropBits, mode);
+    if (mag <= dl16::kFlushAtOrBelow)
+        mag = 0;
+    else if (mag > dl16::kMaxFinite)
+        mag = dl16::kMaxFinite;
+    return std::bit_cast<float>(sign | mag);
+}
+
+/**
+ * quantizeDl16 on four lanes at once, branch-free, with the rounding
+ * mode fixed at compile time: lane l of the result is bit-identical
+ * to quantizeDl16(value[l], Mode) (pinned lane by lane in
+ * tests/test_float_format.cc). The cases are computed on every lane
+ * and selected by masks. The compares are signed: a finite magnitude
+ * stays below 2^31 after the rounding add, and a lane that wraps is
+ * an Inf/NaN lane, whose result the NaN select replaces.
+ */
+template <Rounding Mode>
+inline F32x4
+quantizeDl16(F32x4 value)
+{
+    using namespace detail;
+    const U32x4 in = std::bit_cast<U32x4>(value);
+    const U32x4 sign = in & kSignBit;
+    const U32x4 mag = roundMagnitude(in & ~kSignBit, dl16::kDropBits, Mode);
+    const I32x4 smag = std::bit_cast<I32x4>(mag);
+    const I32x4 special =
+        std::bit_cast<I32x4>(in & ~kSignBit) >= int32_t(kFloatInf);
+    U32x4 out = smag > int32_t(dl16::kFlushAtOrBelow) ? mag : U32x4{};
+    out = smag > int32_t(dl16::kMaxFinite) ? U32x4{} + dl16::kMaxFinite
+                                           : out;
+    out = special ? U32x4{} + kQuietNan : (sign | out);
+    return std::bit_cast<F32x4>(out);
+}
+
+/**
+ * Fast FP8 rounding: bit-identical to `fp8e4m3(fwd_bias)` (Forward)
+ * or `fp8e5m2()` (Backward; @p fwd_bias is ignored) `.quantize(value,
+ * mode)` for every float32 input, every mode and every bias in
+ * [1, 15] (tests/test_float_format.cc pins it to the codec). The
+ * caller validates @p fwd_bias, as fp8e4m3() does. This is the only
+ * FP8 rounding the code runs; the codec stays as its oracle.
+ *
+ * Every FP8 value of these formats is a float32, so the rounding works
+ * on the float32 bits as quantizeDl16 does:
+ *   - Inf and NaN map to the merged NaN symbol (quiet NaN);
+ *   - in the normal range, round the magnitude bits to the format's
+ *     significand and saturate above the largest finite value
+ *     (e=2^E-2, m=all ones);
+ *   - below the smallest normal 2^(1-bias) the FP8 grid is fixed at
+ *     2^(1-bias-M), so round the 24-bit significand to that grid as
+ *     an integer (a shift of 25 or more rounds to 0 in every mode) and
+ *     scale the count back, which is exact. Zeros and float32
+ *     subnormals, far below the smallest FP8 subnormal, come out as
+ *     a signed zero.
+ */
+inline float
+quantizeFp8(Fp8Kind kind, int fwd_bias, float value,
+            Rounding mode = Rounding::NearestEven)
+{
+    using namespace detail;
+    const bool fwd = kind == Fp8Kind::Forward;
+    const unsigned man_bits = fwd ? 3 : 2;
+    const uint32_t bias = fwd ? uint32_t(fwd_bias) : 15u;
+    const uint32_t max_field = fwd ? 14u : 30u;
+    const unsigned drop = 23 - man_bits;
+    // float32 exponent field of the smallest FP8 normal, 2^(1-bias).
+    const uint32_t min_normal_exp = 128 - bias;
 
     const uint32_t in = std::bit_cast<uint32_t>(value);
     const uint32_t sign = in & kSignBit;
     uint32_t mag = in & ~kSignBit;
     if (mag >= kFloatInf)
-        return std::numeric_limits<float>::quiet_NaN();
-    switch (mode) {
-      case Rounding::NearestEven:
-        mag += (kDropMask >> 1) + ((mag >> kDropBits) & 1);
-        break;
-      case Rounding::NearestUp:
-        mag += uint32_t(1) << (kDropBits - 1);
-        break;
-      case Rounding::Truncate:
-        break;
+        return std::bit_cast<float>(kQuietNan);
+    const uint32_t exp = mag >> 23;
+    if (exp >= min_normal_exp) {
+        const uint32_t max_finite =
+            ((max_field - bias + 127) << 23) |
+            (((uint32_t(1) << man_bits) - 1) << drop);
+        mag = roundMagnitude(mag, drop, mode);
+        return std::bit_cast<float>(sign |
+                                    (mag > max_finite ? max_finite : mag));
     }
-    mag &= ~kDropMask;
-    if (mag <= kFlushAtOrBelow)
-        mag = 0;
-    else if (mag > kMaxFinite)
-        mag = kMaxFinite;
-    return std::bit_cast<float>(sign | mag);
+    const unsigned shift = drop + std::min(min_normal_exp - exp, 25u - drop);
+    const uint32_t sig = (uint32_t(1) << 23) | (mag & 0x7fffffu);
+    const uint32_t steps = roundMagnitude(sig, shift, mode) >> shift;
+    // steps * 2^(1 - bias - man_bits), an exact float32 product.
+    const float grid =
+        std::bit_cast<float>((min_normal_exp - man_bits) << 23);
+    return std::bit_cast<float>(
+        sign | std::bit_cast<uint32_t>(float(steps) * grid));
+}
+
+/**
+ * quantizeFp8 on four lanes at once, branch-free, with the flavour and
+ * the rounding mode fixed at compile time: lane l of the result is
+ * bit-identical to quantizeFp8(Kind, fwd_bias, value[l], Mode) (pinned
+ * lane by lane in tests/test_float_format.cc). The normal range rounds
+ * the magnitude bits as the scalar path does. Below the smallest
+ * normal, the magnitude scaled by 2^(bias-1+M) is the exact count of
+ * subnormal grid steps, fraction included, in [0, 2^M); it rounds to
+ * an integer with float32 arithmetic (2^23 added and taken away
+ * rounds to nearest even; the fraction decides ties away from zero)
+ * and scales back exactly. Lanes outside that range feed the
+ * conversion a zero, so no lane converts an out-of-range float.
+ */
+template <Fp8Kind Kind, Rounding Mode>
+inline F32x4
+quantizeFp8(int fwd_bias, F32x4 value)
+{
+    using namespace detail;
+    constexpr bool fwd = Kind == Fp8Kind::Forward;
+    constexpr unsigned man_bits = fwd ? 3 : 2;
+    constexpr uint32_t max_field = fwd ? 14 : 30;
+    constexpr unsigned drop = 23 - man_bits;
+    const uint32_t bias = fwd ? uint32_t(fwd_bias) : 15u;
+    const int32_t min_normal = int32_t((128 - bias) << 23);
+    const uint32_t max_finite = ((max_field - bias + 127) << 23) |
+                                (((uint32_t(1) << man_bits) - 1) << drop);
+    const float to_steps =
+        std::bit_cast<float>((127 + bias - 1 + man_bits) << 23);
+    const float grid = std::bit_cast<float>((128 - bias - man_bits) << 23);
+
+    const U32x4 in = std::bit_cast<U32x4>(value);
+    const U32x4 mag = in & ~kSignBit;
+    const I32x4 smag = std::bit_cast<I32x4>(mag);
+    const I32x4 subnormal = smag < min_normal;
+
+    U32x4 normal = roundMagnitude(mag, drop, Mode);
+    normal = std::bit_cast<I32x4>(normal) > int32_t(max_finite)
+                 ? U32x4{} + max_finite
+                 : normal;
+    const F32x4 y =
+        std::bit_cast<F32x4>(subnormal ? mag : U32x4{}) * to_steps;
+    F32x4 steps;
+    if constexpr (Mode == Rounding::NearestEven) {
+        constexpr float kRoundBias = 0x1p23f;
+        steps = (y + kRoundBias) - kRoundBias;
+    } else {
+        steps = __builtin_convertvector(__builtin_convertvector(y, I32x4),
+                                        F32x4);
+        if constexpr (Mode == Rounding::NearestUp)
+            steps += (y - steps >= 0.5f) ? F32x4{} + 1.0f : F32x4{};
+    }
+    U32x4 out = subnormal ? std::bit_cast<U32x4>(steps * grid) : normal;
+    out = smag >= int32_t(kFloatInf) ? U32x4{} + kQuietNan
+                                     : ((in & kSignBit) | out);
+    return std::bit_cast<F32x4>(out);
 }
 
 /** HFP8 forward format FP8 (1,4,3) with the given exponent bias. */

@@ -21,18 +21,10 @@
 
 #include <cstdint>
 
-#include "precision/decode_lut.hh"
 #include "precision/float_format.hh"
 #include "precision/int_format.hh"
 
 namespace rapid {
-
-/** Which FP8 flavour an HFP8 operand tensor uses (Figure 3). */
-enum class Fp8Kind
-{
-    Forward,  ///< FP8 (1,4,3) with programmable bias: weights/activations
-    Backward, ///< FP8 (1,5,2): error gradients
-};
 
 /**
  * Emulates one MPE's arithmetic. Stateless except for operation
@@ -74,8 +66,9 @@ class MpeDatapath
 
     /**
      * Convert a value through the FP8 -> FP9 input stage: quantize to
-     * the requested FP8 flavour, then re-encode as FP9. The FP9 step is
-     * exact (proven by tests), so this equals the FP8 quantization.
+     * the requested FP8 flavour (quantizeFp8). The FP9 re-encode is
+     * exact for every FP8 value with bias in [1,15] (proven
+     * exhaustively by tests), so the FP8 value is the FP9 operand.
      */
     float toFp9(float value, Fp8Kind kind) const;
 
@@ -99,12 +92,6 @@ class MpeDatapath
   private:
     int fwdBias_;
     Rounding rounding_;
-    /// Tabulated decode for the two FP8 input flavours (the quantize
-    /// hot path); rebuilt when the programmable bias changes. Decode
-    /// via the table is bit-identical to the scalar codec by
-    /// construction (see decode_lut.hh).
-    Fp8DecodeLut fwdLut_;
-    Fp8DecodeLut bwdLut_;
     uint64_t fmaCount_ = 0;
     uint64_t zeroGatedCount_ = 0;
 };

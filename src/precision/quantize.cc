@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "common/random.hh"
 
 namespace rapid {
 
@@ -199,31 +198,17 @@ SawbQuantizer::stockCoefficients(unsigned bits)
 {
     rapid_assert(bits >= 2 && bits <= 4, "no stock coefficients for INT",
                  bits);
-    // Fitted once per process over canonical weight-like distributions
-    // (Gaussian, Laplace, uniform, and a Gaussian mixture), seeded
-    // deterministically so the constants are reproducible run-to-run.
-    static Coefficients cache[3];
-    static bool ready[3] = {false, false, false};
-    unsigned idx = bits - 2;
-    if (!ready[idx]) {
-        Rng rng(0xC0EFF5 + bits);
-        const size_t n = 20000;
-        std::vector<std::vector<float>> sets;
-        sets.push_back(rng.gaussianVector(n, 0.0, 1.0));
-        std::vector<float> lap(n), uni(n), mix(n);
-        for (size_t i = 0; i < n; ++i) {
-            lap[i] = float(rng.laplace(1.0));
-            uni[i] = float(rng.uniform(-1.0, 1.0));
-            mix[i] = float(rng.uniform() < 0.8 ? rng.gaussian(0.0, 0.5)
-                                               : rng.gaussian(0.0, 2.0));
-        }
-        sets.push_back(std::move(lap));
-        sets.push_back(std::move(uni));
-        sets.push_back(std::move(mix));
-        cache[idx] = fitCoefficients(sets, bits);
-        ready[idx] = true;
-    }
-    return cache[idx];
+    // fitCoefficients over canonical weight-like distributions
+    // (Gaussian, Laplace, uniform, and a Gaussian mixture, seeded
+    // deterministically). Sawb.StockCoefficientsAreTheCanonicalRefit
+    // in tests/test_precision_ops.cc refits them and compares bit for
+    // bit.
+    static constexpr Coefficients kStock[3] = {
+        {0x1.3991bb24fc003p+2, 0x1.29e0f4c3c9d5dp+2}, // INT2
+        {0x1.afc88b90555dp+2, 0x1.82475597b1602p+2},  // INT3
+        {0x1.5976aad49d186p+3, 0x1.4f4c45ffd3551p+3}, // INT4
+    };
+    return kStock[bits - 2];
 }
 
 } // namespace rapid

@@ -477,6 +477,15 @@ TEST(DecodeLut, RejectsNonEightBitFormats)
 constexpr Rounding kAllModes[] = {Rounding::NearestEven,
                                   Rounding::NearestUp, Rounding::Truncate};
 
+/** The sweep stride: the environment variable @p env, or @p fallback. */
+uint64_t
+sweepStride(const char *env, uint64_t fallback)
+{
+    if (const char *value = std::getenv(env))
+        return std::max<uint64_t>(1, std::strtoull(value, nullptr, 10));
+    return fallback;
+}
+
 /** Count (and report the first few) fast-vs-codec mismatches for the
  *  float32 bit pattern @p bits in every rounding mode. */
 void
@@ -495,6 +504,83 @@ expectFastMatchesCodec(uint32_t bits, int &mismatches)
     }
 }
 
+/** Count mismatches between each lane of the four-lane quantizeDl16
+ *  and the scalar one, in every rounding mode. */
+void
+expectLanesMatchScalar(F32x4 v, int &mismatches)
+{
+    const F32x4 lanes[] = {quantizeDl16<Rounding::NearestEven>(v),
+                           quantizeDl16<Rounding::NearestUp>(v),
+                           quantizeDl16<Rounding::Truncate>(v)};
+    for (size_t m = 0; m < 3; ++m)
+        for (int l = 0; l < 4; ++l) {
+            const uint32_t scalar = std::bit_cast<uint32_t>(
+                quantizeDl16(v[l], kAllModes[m]));
+            const uint32_t lane = std::bit_cast<uint32_t>(lanes[m][l]);
+            if (scalar != lane && ++mismatches <= 8) {
+                ADD_FAILURE() << "input 0x" << std::hex
+                              << std::bit_cast<uint32_t>(v[l]) << " lane "
+                              << l << " mode " << m << ": scalar 0x"
+                              << scalar << ", lane 0x" << lane;
+            }
+        }
+}
+
+/**
+ * Pins a scalar fast path and its four-lane form on a stream of
+ * inputs: @p ScalarCheck (bits, mismatches) on each input, and
+ * @p LaneCheck (lanes, mismatches) on the inputs taken four at a time,
+ * so every lane sees different values.
+ */
+template <typename ScalarCheck, typename LaneCheck>
+class LanePin
+{
+  public:
+    LanePin(ScalarCheck scalar, LaneCheck lanes)
+        : scalar_(scalar), lanes_(lanes)
+    {
+    }
+
+    void
+    add(uint32_t bits)
+    {
+        scalar_(bits, mismatches_);
+        group_[filled_] = std::bit_cast<float>(bits);
+        if (++filled_ == 4)
+            flushLanes();
+    }
+
+    /** Mismatches so far, the last partial group of lanes included. */
+    int
+    mismatches()
+    {
+        if (filled_ > 0)
+            flushLanes();
+        return mismatches_;
+    }
+
+  private:
+    void
+    flushLanes()
+    {
+        lanes_(group_, mismatches_);
+        filled_ = 0;
+    }
+
+    ScalarCheck scalar_;
+    LaneCheck lanes_;
+    F32x4 group_{};
+    int filled_ = 0;
+    int mismatches_ = 0;
+};
+
+/** quantizeDl16 against the codec, its four-lane form against it. */
+auto
+dl16Pin()
+{
+    return LanePin(expectFastMatchesCodec, expectLanesMatchScalar);
+}
+
 /**
  * Every DLFloat16 value, both signs, plus its float32 neighbours at
  * +-1 ulp, at the DLFloat16 half-ulp tie points (+-2^13 in float32
@@ -506,7 +592,7 @@ TEST(QuantizeDl16, MatchesCodecAroundEveryDlFloat16Value)
     constexpr int64_t kOffsets[] = {0,         1,          -1,
                                     kHalf,     kHalf - 1,  kHalf + 1,
                                     -kHalf,    -kHalf - 1, -kHalf + 1};
-    int mismatches = 0;
+    auto pin = dl16Pin();
     for (uint32_t p = 0; p < dlfloat16().numEncodings(); ++p) {
         const float v = dlfloat16().decode(p);
         if (std::isnan(v))
@@ -518,10 +604,10 @@ TEST(QuantizeDl16, MatchesCodecAroundEveryDlFloat16Value)
             const int64_t m = mag + off;
             if (m < 0 || m > 0x7fffffff)
                 continue;
-            expectFastMatchesCodec(sign | uint32_t(m), mismatches);
+            pin.add(sign | uint32_t(m));
         }
     }
-    EXPECT_EQ(mismatches, 0);
+    EXPECT_EQ(pin.mismatches(), 0);
 }
 
 /** The flush (2^-31) and saturate boundaries and the special inputs. */
@@ -545,12 +631,12 @@ TEST(QuantizeDl16, FlushSaturateAndSpecialBoundaries)
         std::ldexp(1.0f, 32), std::numeric_limits<float>::max(), inf,
         std::numeric_limits<float>::quiet_NaN(),
         std::numeric_limits<float>::signaling_NaN()};
-    int mismatches = 0;
+    auto pin = dl16Pin();
     for (float v : probes) {
-        expectFastMatchesCodec(std::bit_cast<uint32_t>(v), mismatches);
-        expectFastMatchesCodec(std::bit_cast<uint32_t>(-v), mismatches);
+        pin.add(std::bit_cast<uint32_t>(v));
+        pin.add(std::bit_cast<uint32_t>(-v));
     }
-    EXPECT_EQ(mismatches, 0);
+    EXPECT_EQ(pin.mismatches(), 0);
 
     // The three special cases, stated directly.
     EXPECT_EQ(quantizeDl16(flush), 0.0f);
@@ -574,12 +660,185 @@ TEST(QuantizeDl16, FlushSaturateAndSpecialBoundaries)
  */
 TEST(QuantizeDl16, MatchesCodecOnStridedFloat32Sweep)
 {
-    uint64_t stride = 4093;
-    if (const char *env = std::getenv("RAPID_DL16_SWEEP_STRIDE"))
-        stride = std::max<uint64_t>(1, std::strtoull(env, nullptr, 10));
-    int mismatches = 0;
+    const uint64_t stride = sweepStride("RAPID_DL16_SWEEP_STRIDE", 4093);
+    auto pin = dl16Pin();
     for (uint64_t bits = 0; bits <= 0xffffffffu; bits += stride)
-        expectFastMatchesCodec(uint32_t(bits), mismatches);
+        pin.add(uint32_t(bits));
+    EXPECT_EQ(pin.mismatches(), 0);
+}
+
+// ---------------------------------------------------------------------
+// quantizeFp8: the inline FP8 rounding, pinned bit for bit to the
+// generic codec for every forward bias and the backward format, in
+// every rounding mode.
+// ---------------------------------------------------------------------
+
+/** One FP8 flavour: quantizeFp8's arguments and the codec's format. */
+struct Fp8Flavour
+{
+    Fp8Kind kind;
+    int bias;
+    FloatFormat fmt;
+};
+
+std::vector<Fp8Flavour>
+allFp8Flavours()
+{
+    std::vector<Fp8Flavour> flavours;
+    for (int bias = 1; bias <= 15; ++bias)
+        flavours.push_back({Fp8Kind::Forward, bias, fp8e4m3(bias)});
+    flavours.push_back({Fp8Kind::Backward, 15, fp8e5m2()});
+    return flavours;
+}
+
+/** Count (and report the first few) quantizeFp8-vs-codec mismatches
+ *  for the float32 bit pattern @p bits in every rounding mode. */
+void
+expectFp8MatchesCodec(const Fp8Flavour &f, uint32_t bits, int &mismatches)
+{
+    const float x = std::bit_cast<float>(bits);
+    for (Rounding mode : kAllModes) {
+        const uint32_t codec = std::bit_cast<uint32_t>(f.fmt.quantize(x, mode));
+        const uint32_t fast =
+            std::bit_cast<uint32_t>(quantizeFp8(f.kind, f.bias, x, mode));
+        if (codec != fast && ++mismatches <= 8) {
+            ADD_FAILURE() << f.fmt.name() << " input 0x" << std::hex
+                          << bits << " mode " << int(mode) << ": codec 0x"
+                          << codec << ", fast 0x" << fast;
+        }
+    }
+}
+
+/** Count mismatches between each lane of the four-lane quantizeFp8
+ *  and the scalar one, in every rounding mode. */
+template <Fp8Kind Kind>
+void
+expectFp8LanesMatchScalar(const Fp8Flavour &f, F32x4 v, int &mismatches)
+{
+    const F32x4 lanes[] = {
+        quantizeFp8<Kind, Rounding::NearestEven>(f.bias, v),
+        quantizeFp8<Kind, Rounding::NearestUp>(f.bias, v),
+        quantizeFp8<Kind, Rounding::Truncate>(f.bias, v)};
+    for (size_t m = 0; m < 3; ++m)
+        for (int l = 0; l < 4; ++l) {
+            const uint32_t scalar = std::bit_cast<uint32_t>(
+                quantizeFp8(Kind, f.bias, v[l], kAllModes[m]));
+            const uint32_t lane = std::bit_cast<uint32_t>(lanes[m][l]);
+            if (scalar != lane && ++mismatches <= 8) {
+                ADD_FAILURE() << f.fmt.name() << " input 0x" << std::hex
+                              << std::bit_cast<uint32_t>(v[l]) << " lane "
+                              << l << " mode " << m << ": scalar 0x"
+                              << scalar << ", lane 0x" << lane;
+            }
+        }
+}
+
+/** quantizeFp8 in flavour @p f against the codec, its four-lane form
+ *  against it. */
+auto
+fp8Pin(const Fp8Flavour &f)
+{
+    return LanePin(
+        [&f](uint32_t bits, int &mismatches) {
+            expectFp8MatchesCodec(f, bits, mismatches);
+        },
+        [&f](F32x4 lanes, int &mismatches) {
+            if (f.kind == Fp8Kind::Forward)
+                expectFp8LanesMatchScalar<Fp8Kind::Forward>(f, lanes,
+                                                            mismatches);
+            else
+                expectFp8LanesMatchScalar<Fp8Kind::Backward>(f, lanes,
+                                                             mismatches);
+        });
+}
+
+/**
+ * Every FP8 value of every flavour, both signs, with its float32
+ * neighbours at +-1 ulp, and the half-ulp tie to the next FP8 value up
+ * (the overflow threshold above the largest finite value) with its
+ * +-1 ulp neighbours.
+ */
+TEST(QuantizeFp8, MatchesCodecAroundEveryFp8Value)
+{
+    int mismatches = 0;
+    for (const Fp8Flavour &f : allFp8Flavours()) {
+        auto pin = fp8Pin(f);
+        for (uint32_t p = 0; p < 128; ++p) {
+            if (f.fmt.isNan(p))
+                continue;
+            const float v = f.fmt.decode(p);
+            // Past the largest finite value, one more ulp up.
+            const float next = f.fmt.isNan(p + 1)
+                                   ? v + (v - f.fmt.decode(p - 1))
+                                   : f.fmt.decode(p + 1);
+            const uint32_t tie = std::bit_cast<uint32_t>((v + next) / 2.0f);
+            const uint32_t at = std::bit_cast<uint32_t>(v);
+            for (uint32_t mag : {at, at + 1, at - 1, tie, tie + 1, tie - 1}) {
+                if (mag > 0x7fffffffu)
+                    continue; // below +0
+                pin.add(mag);
+                pin.add(mag | 0x80000000u);
+            }
+        }
+        mismatches += pin.mismatches();
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+/** Zeros, float32 subnormals, the saturate boundary and Inf/NaN. */
+TEST(QuantizeFp8, ZerosSubnormalsSaturateAndSpecials)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    int mismatches = 0;
+    for (const Fp8Flavour &f : allFp8Flavours()) {
+        auto pin = fp8Pin(f);
+        const float max_finite = f.fmt.maxFinite();
+        const float probes[] = {
+            0.0f, std::numeric_limits<float>::denorm_min(),
+            std::bit_cast<float>(0x007fffffu),
+            std::numeric_limits<float>::min(), f.fmt.minPositive() / 2.0f,
+            std::nextafter(f.fmt.minPositive() / 2.0f, 0.0f),
+            std::nextafter(f.fmt.minPositive() / 2.0f, inf),
+            std::nextafter(max_finite, 0.0f), max_finite,
+            std::nextafter(max_finite, inf), 2.0f * max_finite,
+            std::numeric_limits<float>::max(), inf,
+            std::numeric_limits<float>::quiet_NaN(),
+            std::numeric_limits<float>::signaling_NaN(),
+            std::bit_cast<float>(0x7f800001u)};
+        for (float v : probes) {
+            pin.add(std::bit_cast<uint32_t>(v));
+            pin.add(std::bit_cast<uint32_t>(-v));
+        }
+        mismatches += pin.mismatches();
+        // The special cases, stated directly.
+        for (Rounding mode : kAllModes) {
+            EXPECT_TRUE(std::isnan(quantizeFp8(f.kind, f.bias, inf, mode)));
+            EXPECT_TRUE(std::isnan(quantizeFp8(f.kind, f.bias, -inf, mode)));
+            EXPECT_EQ(quantizeFp8(f.kind, f.bias,
+                                  std::numeric_limits<float>::max(), mode),
+                      max_finite);
+            EXPECT_TRUE(std::signbit(quantizeFp8(
+                f.kind, f.bias, -std::numeric_limits<float>::min(), mode)));
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+/**
+ * A strided sweep of the whole float32 space for every flavour. The
+ * stride is an odd prime; RAPID_FP8_SWEEP_STRIDE overrides it (1 is
+ * the exhaustive 2^32 x 16 flavours x 3 modes sweep).
+ */
+TEST(QuantizeFp8, MatchesCodecOnStridedFloat32Sweep)
+{
+    const uint64_t stride = sweepStride("RAPID_FP8_SWEEP_STRIDE", 65521);
+    int mismatches = 0;
+    for (const Fp8Flavour &f : allFp8Flavours()) {
+        auto pin = fp8Pin(f);
+        for (uint64_t bits = 0; bits <= 0xffffffffu; bits += stride)
+            pin.add(uint32_t(bits));
+        mismatches += pin.mismatches();
+    }
     EXPECT_EQ(mismatches, 0);
 }
 

@@ -6,6 +6,7 @@
  * (Sections II-B and II-C).
  */
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -161,70 +162,164 @@ expectMatchesReference(const Tensor &got, const Tensor &qa,
         }
 }
 
-/**
- * Operands whose zeros differ per output column, so the lanes of one
- * pass fill (and fold) their chunks at different k. Activations are
- * post-ReLU (about half zero); column j of @p b is zeroed with a
- * probability that cycles through 0, 0.3 and 0.6 with j.
- */
+/** The operand mixes the laned GEMMs are pinned on. */
+enum class LaneRegime
+{
+    /// Post-ReLU activations (about half zero); column j of b is
+    /// zeroed with a probability that cycles through 0, 0.3 and 0.6
+    /// with j, so the lanes of one pass fill (and fold) their chunks
+    /// at different k.
+    Mixed,
+    /// Log-uniform magnitudes over 2^-24..2^24 with random signs: some
+    /// products flush below 2^-31, some sums saturate DLFloat16.
+    WideRange,
+    /// Runs of 10 to 120 zeros in the rows of a and in the columns of b.
+    ZeroRuns,
+};
+
+/** Fill @p a (m, k) and @p b (k, n) for @p regime. */
 void
-laneOperands(Rng &rng, int64_t m, int64_t k, int64_t n, Tensor &a,
-             Tensor &b)
+laneOperands(Rng &rng, LaneRegime regime, int64_t m, int64_t k, int64_t n,
+             Tensor &a, Tensor &b)
 {
     a = randomTensor(rng, {m, k}, 1.0);
-    a.apply([](float v) { return v > 0.0f ? v : 0.0f; });
     b = randomTensor(rng, {k, n}, 0.7);
-    for (int64_t kk = 0; kk < k; ++kk)
+    switch (regime) {
+      case LaneRegime::Mixed:
+        a.apply([](float v) { return v > 0.0f ? v : 0.0f; });
+        for (int64_t kk = 0; kk < k; ++kk)
+            for (int64_t j = 0; j < n; ++j)
+                if (rng.uniform() < 0.3 * double(j % 3))
+                    b.at(kk, j) = 0.0f;
+        break;
+      case LaneRegime::WideRange: {
+        auto wide = [&](float v) {
+            return std::copysign(
+                float(std::exp2(rng.uniform(-24.0, 24.0))), v);
+        };
+        a.apply(wide);
+        b.apply(wide);
+        break;
+      }
+      case LaneRegime::ZeroRuns: {
+        // Alternate nonzero and zero runs along each vector.
+        auto zeroRuns = [&](int64_t len, auto &&at) {
+            int64_t pos = int64_t(rng.uniform(0.0, 30.0));
+            while (pos < len) {
+                const int64_t run = 10 + int64_t(rng.uniform(0.0, 111.0));
+                for (int64_t r = pos; r < std::min(len, pos + run); ++r)
+                    at(r) = 0.0f;
+                pos += run + 1 + int64_t(rng.uniform(0.0, 60.0));
+            }
+        };
+        for (int64_t i = 0; i < m; ++i)
+            zeroRuns(k, [&](int64_t kk) -> float & { return a.at(i, kk); });
         for (int64_t j = 0; j < n; ++j)
-            if (rng.uniform() < 0.3 * double(j % 3))
-                b.at(kk, j) = 0.0f;
-}
-
-TEST(LanedGemm, BitIdenticalToPerOutputChunkedDot)
-{
-    Rng rng(41);
-    const FloatFormat fwd = fp8e4m3(4);
-    for (int64_t n : {1, 7, 8, 9, 67}) {
-        Tensor a, b;
-        laneOperands(rng, 3, 150, n, a, b);
-        for (size_t chunk : {size_t(1), size_t(7), size_t(64)})
-            for (bool fp32_outer : {true, false})
-                for (Rounding mode :
-                     {Rounding::NearestEven, Rounding::NearestUp,
-                      Rounding::Truncate}) {
-                    ExecConfig cfg;
-                    cfg.chunk_size = chunk;
-                    cfg.fp32_outer = fp32_outer;
-                    cfg.rounding = mode;
-                    const std::string what =
-                        "n=" + std::to_string(n) + " chunk=" +
-                        std::to_string(chunk) + " fp32_outer=" +
-                        std::to_string(fp32_outer) + " mode=" +
-                        std::to_string(int(mode));
-
-                    Tensor qa = a, qb = b;
-                    auto dl = [&](float v) {
-                        return dlfloat16().quantize(v, mode);
-                    };
-                    qa.apply(dl);
-                    qb.apply(dl);
-                    expectMatchesReference(fp16Matmul(a, b, cfg), qa, qb,
-                                           cfg, "fp16 " + what);
-
-                    qa = a;
-                    qb = b;
-                    auto f8 = [&](float v) { return fwd.quantize(v, mode); };
-                    qa.apply(f8);
-                    qb.apply(f8);
-                    expectMatchesReference(
-                        hfp8Matmul(a, Fp8Kind::Forward, b,
-                                   Fp8Kind::Forward, cfg),
-                        qa, qb, cfg, "hfp8 " + what);
-                }
+            zeroRuns(k, [&](int64_t kk) -> float & { return b.at(kk, j); });
+        break;
+      }
     }
 }
 
-/** The NumericFault a NaN raises through the scalar tail path. */
+/**
+ * fp16Matmul and hfp8Matmul against the per-output oracle: every
+ * width from 1 to 17 (tails of every length, one and two lane passes)
+ * and 67, chunks shorter and longer than a run of zeros or than k, both
+ * outer precisions, every rounding mode, and each operand regime. The
+ * HFP8 path runs the wide range at forward bias 1 (sums saturate) and
+ * 15 (products flush).
+ */
+TEST(LanedGemm, BitIdenticalToPerOutputChunkedDot)
+{
+    Rng rng(41);
+    std::vector<int64_t> widths;
+    for (int64_t n = 1; n <= 17; ++n)
+        widths.push_back(n);
+    widths.push_back(67);
+    const struct
+    {
+        LaneRegime regime;
+        int fwd_bias;
+        const char *name;
+    } cases[] = {{LaneRegime::Mixed, 4, "mixed"},
+                 {LaneRegime::WideRange, 1, "wide/bias1"},
+                 {LaneRegime::WideRange, 15, "wide/bias15"},
+                 {LaneRegime::ZeroRuns, 4, "zero-runs"}};
+    for (const auto &c : cases)
+        for (int64_t n : widths) {
+            Tensor a, b;
+            laneOperands(rng, c.regime, 2, 250, n, a, b);
+            for (size_t chunk : {size_t(1), size_t(7), size_t(64),
+                                 size_t(200)})
+                for (bool fp32_outer : {true, false})
+                    for (Rounding mode :
+                         {Rounding::NearestEven, Rounding::NearestUp,
+                          Rounding::Truncate}) {
+                        ExecConfig cfg;
+                        cfg.chunk_size = chunk;
+                        cfg.fp32_outer = fp32_outer;
+                        cfg.fwd_bias = c.fwd_bias;
+                        cfg.rounding = mode;
+                        const std::string what =
+                            std::string(c.name) + " n=" +
+                            std::to_string(n) + " chunk=" +
+                            std::to_string(chunk) + " fp32_outer=" +
+                            std::to_string(fp32_outer) + " mode=" +
+                            std::to_string(int(mode));
+
+                        Tensor qa = a, qb = b;
+                        auto dl = [&](float v) {
+                            return dlfloat16().quantize(v, mode);
+                        };
+                        qa.apply(dl);
+                        qb.apply(dl);
+                        expectMatchesReference(fp16Matmul(a, b, cfg), qa,
+                                               qb, cfg, "fp16 " + what);
+
+                        const FloatFormat fwd = fp8e4m3(c.fwd_bias);
+                        qa = a;
+                        qb = b;
+                        auto f8 = [&](float v) {
+                            return fwd.quantize(v, mode);
+                        };
+                        qa.apply(f8);
+                        qb.apply(f8);
+                        expectMatchesReference(
+                            hfp8Matmul(a, Fp8Kind::Forward, b,
+                                       Fp8Kind::Forward, cfg),
+                            qa, qb, cfg, "hfp8 " + what);
+                    }
+        }
+}
+
+/**
+ * An FP16 outer sum that cancels to a flushed -0 stays -0: with chunk
+ * size 1, 2^-30 folds first, then -(2^-30 + 2^-39), and the outer
+ * rounding flushes -2^-39 to -0. The total of a dot whose last chunk
+ * just folded is that outer sum itself, not a fold of it with an
+ * empty (+0) chunk, which would give +0.
+ */
+TEST(LanedGemm, FlushedNegativeOuterSumStaysNegativeZero)
+{
+    ExecConfig cfg;
+    cfg.chunk_size = 1;
+    cfg.fp32_outer = false;
+    const float x = std::ldexp(1.0f, -30);
+    const float y = std::ldexp(1.0f + std::ldexp(1.0f, -9), -30);
+    for (int64_t n : {1, 8, 9}) {
+        Tensor a({1, 2});
+        a.fill(1.0f);
+        Tensor b({2, n});
+        b.fill(0.0f);
+        b.at(0, n - 1) = x;
+        b.at(1, n - 1) = -y;
+        const Tensor got = fp16Matmul(a, b, cfg);
+        EXPECT_EQ(std::bit_cast<uint32_t>(got.at(0, n - 1)), 0x80000000u)
+            << "n=" << n << ": " << got.at(0, n - 1);
+    }
+}
+
+/** The NumericFault a NaN operand raises from fp16Matmul. */
 std::string
 numericFaultMessage(const Tensor &a, const Tensor &b)
 {
@@ -243,7 +338,8 @@ TEST(LanedGemm, PoisonedLaneThrowsTheScalarPathFault)
     const float nan = std::numeric_limits<float>::quiet_NaN();
     Tensor a({2, 20});
     a.fill(1.0f);
-    // Four columns: all of them run through the scalar tail.
+    // Four columns: a tail, run through the lane kernel from a padded
+    // copy, then replayed through the per-output chunkedDot.
     Tensor narrow({20, 4});
     narrow.fill(0.5f);
     narrow.at(5, 3) = nan;
@@ -263,7 +359,7 @@ TEST(LanedGemm, PoisonedLaneThrowsTheScalarPathFault)
     EXPECT_EQ(numericFaultMessage(a, wide), scalar);
 }
 
-/** The per-(kind, bias) static tables quantize exactly like the codec. */
+/** quantizeTensorFp8 quantizes exactly like the codec for every bias. */
 TEST(Hfp8Exec, QuantizeTensorFp8MatchesCodecForEveryBias)
 {
     Rng rng(43);

@@ -4,6 +4,7 @@
  * the PACT / SaWB quantizers.
  */
 
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <vector>
@@ -319,6 +320,41 @@ TEST(Sawb, StockCoefficientsPositiveAndStable)
         EXPECT_GT(c.c2, 0.0) << "bits=" << bits;
         EXPECT_EQ(c.c1, c2.c1);
         EXPECT_EQ(c.c2, c2.c2);
+    }
+}
+
+/**
+ * The committed stock coefficients are the refit over the canonical
+ * weight-like distributions, bit for bit: 20,000 samples each of a
+ * unit Gaussian, a unit Laplace, a uniform on [-1, 1] and a 0.8/0.2
+ * mixture of Gaussians with sigma 0.5 and 2, drawn from one Rng
+ * seeded 0xC0EFF5 + bits.
+ */
+TEST(Sawb, StockCoefficientsAreTheCanonicalRefit)
+{
+    for (unsigned bits : {2u, 3u, 4u}) {
+        Rng rng(0xC0EFF5 + bits);
+        const size_t n = 20000;
+        std::vector<std::vector<float>> sets;
+        sets.push_back(rng.gaussianVector(n, 0.0, 1.0));
+        std::vector<float> lap(n), uni(n), mix(n);
+        for (size_t i = 0; i < n; ++i) {
+            lap[i] = float(rng.laplace(1.0));
+            uni[i] = float(rng.uniform(-1.0, 1.0));
+            mix[i] = float(rng.uniform() < 0.8 ? rng.gaussian(0.0, 0.5)
+                                               : rng.gaussian(0.0, 2.0));
+        }
+        sets.push_back(std::move(lap));
+        sets.push_back(std::move(uni));
+        sets.push_back(std::move(mix));
+        const auto fit = SawbQuantizer::fitCoefficients(sets, bits);
+        const auto stock = SawbQuantizer::stockCoefficients(bits);
+        EXPECT_EQ(std::bit_cast<uint64_t>(stock.c1),
+                  std::bit_cast<uint64_t>(fit.c1))
+            << "bits=" << bits << std::hexfloat << " refit c1 " << fit.c1;
+        EXPECT_EQ(std::bit_cast<uint64_t>(stock.c2),
+                  std::bit_cast<uint64_t>(fit.c2))
+            << "bits=" << bits << std::hexfloat << " refit c2 " << fit.c2;
     }
 }
 

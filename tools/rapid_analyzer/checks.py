@@ -34,10 +34,12 @@ Check catalog -- names are the waiver names for
                     parallel.*, every throw constructs a rapid::Error
                     subtype (bare rethrow is fine) so ResilientTrainer's
                     e.code() switch stays total
-  dl16-quantize     no dlfloat16().quantize( in src/ outside
-                    src/precision/float_format.*: DLFloat16 rounding
-                    goes through the inline quantizeDl16, so the fast
-                    path stays the only implementation the code runs
+  dl16-quantize     no dlfloat16().quantize(, fp8e4m3(..).quantize(,
+                    fp8e5m2().quantize( or fp9().quantize( in src/
+                    outside src/precision/float_format.*: DLFloat16
+                    and FP8 rounding go through the inline
+                    quantizeDl16 and quantizeFp8, so the fast paths
+                    stay the only implementations the code runs
   layering          declared module-tier order (include_graph.py)
   include-cycle     file- or module-level include cycles (ditto)
 """
@@ -427,26 +429,51 @@ def check_throw_discipline(tf):
 
 
 # ---------------------------------------------------------------------------
-# One DLFloat16 rounding path.
+# One rounding path per reduced float format.
 # ---------------------------------------------------------------------------
+
+#: Format accessors whose generic-codec quantize() has an inline fast
+#: path, and that fast path.
+CODEC_FAST_PATHS = {
+    "dlfloat16": "quantizeDl16()",
+    "fp8e4m3": "quantizeFp8()",
+    "fp8e5m2": "quantizeFp8()",
+    "fp9": "quantizeFp8() (the FP8 -> FP9 step is exact)",
+}
+
+
+def _close_paren(tf, i):
+    """Index of the ')' matching the '(' at token @p i, or None."""
+    depth = 0
+    for j in range(i, len(tf.tokens)):
+        if tf.is_punct(j, "("):
+            depth += 1
+        elif tf.is_punct(j, ")"):
+            depth -= 1
+            if depth == 0:
+                return j
+    return None
+
 
 def check_dl16_quantize(tf):
     if (not tf.rel.startswith("src/")
             or tf.rel.startswith(DL16_QUANTIZE_ALLOWED)):
         return
     for i, t in enumerate(tf.tokens):
-        if (t.kind == "ID" and t.text == "dlfloat16"
-                and not tf.is_punct(i - 1, ".")
-                and not tf.is_punct(i - 1, "->")
-                and tf.is_punct(i + 1, "(") and tf.is_punct(i + 2, ")")
-                and tf.is_punct(i + 3, ".")
-                and tf.is_id(i + 4, "quantize")
-                and tf.is_punct(i + 5, "(")):
+        if (t.kind != "ID" or t.text not in CODEC_FAST_PATHS
+                or tf.is_punct(i - 1, ".") or tf.is_punct(i - 1, "->")
+                or not tf.is_punct(i + 1, "(")):
+            continue
+        j = _close_paren(tf, i + 1)
+        if (j is not None and tf.is_punct(j + 1, ".")
+                and tf.is_id(j + 2, "quantize")
+                and tf.is_punct(j + 3, "(")):
             yield _finding(
                 tf, t.line, "dl16-quantize",
-                "dlfloat16().quantize() runs the generic codec; round "
-                "with quantizeDl16() from precision/float_format.hh "
-                "(bit-identical, pinned by tests/test_float_format.cc)")
+                "%s().quantize() runs the generic codec; round with "
+                "%s from precision/float_format.hh (bit-identical, "
+                "pinned by tests/test_float_format.cc)"
+                % (t.text, CODEC_FAST_PATHS[t.text]))
 
 
 #: Every token-stream check, in report order. The layering and cycle

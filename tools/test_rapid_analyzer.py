@@ -172,10 +172,19 @@ class CheckHelpers(unittest.TestCase):
             self.assertEqual(
                 list(check_dl16_quantize(TokenFile(rel, toks))), [], rel)
 
-    def test_dl16_encode_and_other_formats_not_flagged(self):
+    def test_fp8_and_fp9_quantize_flagged_outside_float_format(self):
+        toks = lexer.lex("a = fp8e4m3(cfg.bias(2)).quantize(x, m);\n"
+                         "b = rapid::fp8e5m2().quantize(x);\n"
+                         "c = fp9().quantize(a);\n").tokens
+        findings = list(check_dl16_quantize(TokenFile("src/func/x.cc", toks)))
+        self.assertEqual([f.line for f in findings], [1, 2, 3])
+
+    def test_codec_encode_and_member_calls_not_flagged(self):
         toks = lexer.lex("w = dlfloat16().encode(x);\n"
-                         "y = fp9().quantize(x);\n"
-                         "z = fmt.dlfloat16().quantize(x);\n").tokens
+                         "v = fp8e4m3(4).decode(p);\n"
+                         "u = fp8e4m3(4);\n"
+                         "z = fmt.dlfloat16().quantize(x);\n"
+                         "y = lut->fp9().quantize(x);\n").tokens
         self.assertEqual(
             list(check_dl16_quantize(TokenFile("src/sim/x.cc", toks))), [])
 
