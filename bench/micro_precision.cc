@@ -2,7 +2,7 @@
  * @file
  * google-benchmark microbenchmarks of the emulation substrate: float
  * codec throughput (the generic codec against the inline DLFloat16
- * and FP8 roundings), FMA datapaths,
+ * and FP8 roundings), per-item RNG streams, FMA datapaths,
  * chunked accumulation, quantizers, the reduced-precision GEMM
  * executors, the cycle-level systolic simulator, the ring
  * interconnect, the chip-level simulator, the fork-join pool, and
@@ -14,6 +14,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/fault.hh"
 #include "common/parallel.hh"
 #include "common/random.hh"
 #include "compiler/precision_assign.hh"
@@ -21,7 +22,6 @@
 #include "interconnect/mni.hh"
 #include "llm/llm_sim.hh"
 #include "perf/perf_model.hh"
-#include "precision/decode_lut.hh"
 #include "sim/chip_sim.hh"
 #include "sim/systolic.hh"
 #include "workloads/networks.hh"
@@ -58,9 +58,9 @@ BENCHMARK(BM_DlFloat16QuantizeFast);
  * FP8 quantize pair: the same Laplace-shaped buffer (typical of
  * trained weights) through every 8-bit format the datapath uses, each
  * programmable forward bias plus the backward format. The scalar half
- * runs the generic codec (encode, then decode); the Fp8DecodeLut half
- * runs its quantize, which is the inline quantizeFp8. The two are
- * bit-identical (pinned by tests/test_float_format.cc).
+ * runs the generic codec (encode, then decode); the fast half runs the
+ * inline quantizeFp8. The two are bit-identical (pinned by
+ * tests/test_float_format.cc).
  */
 std::vector<float>
 fp8Buffer()
@@ -102,15 +102,46 @@ BM_Fp8QuantizeScalar(benchmark::State &state)
 }
 BENCHMARK(BM_Fp8QuantizeScalar);
 
-void
-BM_Fp8QuantizeLut(benchmark::State &state)
+/** quantizeFp8 for one format, shaped like FloatFormat::quantize. */
+struct Fp8Fast
 {
-    std::vector<Fp8DecodeLut> luts;
+    Fp8Kind kind;
+    int bias;
+
+    float quantize(float v) const { return quantizeFp8(kind, bias, v); }
+};
+
+void
+BM_Fp8QuantizeFast(benchmark::State &state)
+{
+    std::vector<Fp8Fast> qs;
     for (const FloatFormat &fmt : fp8Formats())
-        luts.emplace_back(fmt);
-    runFp8Quantize(state, luts);
+        qs.push_back({fmt.expBits() == 4 ? Fp8Kind::Forward
+                                         : Fp8Kind::Backward,
+                      fmt.bias()});
+    runFp8Quantize(state, qs);
 }
-BENCHMARK(BM_Fp8QuantizeLut);
+BENCHMARK(BM_Fp8QuantizeFast);
+
+/**
+ * One per-item fault stream: an Rng seeded from mixSeed, as
+ * FaultInjector::stream builds it, then k uniform draws. Fault sites
+ * draw 1-18 numbers per item, so the seeding cost is what this reads.
+ */
+void
+BM_RngStream(benchmark::State &state)
+{
+    const int64_t draws = state.range(0);
+    uint64_t item = 0;
+    for (auto _ : state) {
+        Rng rng(mixSeed(0x5eedULL, item++));
+        double sum = 0.0;
+        for (int64_t k = 0; k < draws; ++k)
+            sum += rng.uniform();
+        benchmark::DoNotOptimize(sum);
+    }
+}
+BENCHMARK(BM_RngStream)->Arg(1)->Arg(17);
 
 void
 BM_Hfp8Fma(benchmark::State &state)

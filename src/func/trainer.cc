@@ -415,9 +415,10 @@ Mlp::exportState() const
 {
     MlpState state;
     state.precision = cfg_.precision;
-    // The textual mt19937_64 representation is stable across runs and
-    // platforms with the same libstdc++ wording; it round-trips the
-    // stream position exactly.
+    // The text is written by Rng's engine (Mt19937_64) in libstdc++'s
+    // mt19937_64 format, 312 state words and the position; the oracle
+    // tests pin it to std's text, and it round-trips the stream
+    // position exactly.
     std::ostringstream oss;
     Rng rng_copy = rng_;
     oss << rng_copy.engine();
@@ -451,12 +452,14 @@ Mlp::importState(const MlpState &state)
                 ls.b_vel.size() == size_t(d.b_vel.numel()),
             "MlpState layer ", i, " shape mismatch");
     }
-    cfg_.precision = state.precision;
+    // A text that fails to parse leaves the engine as it was, so a
+    // rejected state changes nothing.
     std::istringstream iss(state.rng);
     iss >> rng_.engine();
     RAPID_CHECK_ARG(!iss.fail(),
                     "MlpState.rng does not parse as an mt19937_64 "
                     "stream state");
+    cfg_.precision = state.precision;
     for (size_t i = 0; i < layers_.size(); ++i) {
         const DenseState &ls = state.layers[i];
         Dense &d = layers_[i];

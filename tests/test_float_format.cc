@@ -18,7 +18,6 @@
 
 #include "common/error.hh"
 #include "common/random.hh"
-#include "precision/decode_lut.hh"
 #include "precision/float_format.hh"
 
 namespace rapid {
@@ -415,60 +414,6 @@ TEST(CrossFormat, RoundingModeContracts)
     }
 }
 
-/**
- * Property test pinning the decode LUT to the scalar codec over ALL
- * 256 encodings of every 8-bit format the datapath uses (each
- * programmable forward bias plus the backward format). Compared as
- * bit patterns so a NaN encoding cannot hide behind NaN != NaN.
- */
-TEST(DecodeLut, BitIdenticalToScalarForAll256Encodings)
-{
-    std::vector<FloatFormat> formats;
-    for (int bias = 1; bias <= 15; ++bias)
-        formats.push_back(fp8e4m3(bias));
-    formats.push_back(fp8e5m2());
-    for (const FloatFormat &fmt : formats) {
-        ASSERT_EQ(fmt.numEncodings(), 256u) << fmt.name();
-        const Fp8DecodeLut lut(fmt);
-        for (uint32_t p = 0; p < 256; ++p) {
-            const uint32_t scalar =
-                std::bit_cast<uint32_t>(fmt.decode(p));
-            const uint32_t tabulated =
-                std::bit_cast<uint32_t>(lut.decode(p));
-            EXPECT_EQ(scalar, tabulated)
-                << fmt.name() << " pattern " << p;
-        }
-    }
-}
-
-/** The LUT-backed quantize matches the scalar quantize in every
- *  rounding mode (the composition the hot paths actually run). */
-TEST(DecodeLut, QuantizeMatchesScalarInEveryRoundingMode)
-{
-    Rng rng(202);
-    for (const FloatFormat &fmt : {fp8e4m3(4), fp8e4m3(9), fp8e5m2()}) {
-        const Fp8DecodeLut lut(fmt);
-        for (int i = 0; i < 2000; ++i) {
-            const float x = float(rng.laplace(0.7));
-            for (Rounding mode :
-                 {Rounding::NearestEven, Rounding::NearestUp,
-                  Rounding::Truncate}) {
-                EXPECT_EQ(std::bit_cast<uint32_t>(fmt.quantize(x, mode)),
-                          std::bit_cast<uint32_t>(lut.quantize(x, mode)))
-                    << fmt.name() << " x=" << x;
-            }
-        }
-    }
-}
-
-/** Only 8-bit formats admit the 256-entry table. */
-TEST(DecodeLut, RejectsNonEightBitFormats)
-{
-    EXPECT_THROW(Fp8DecodeLut{dlfloat16()}, Error);
-    EXPECT_THROW(Fp8DecodeLut{fp9()}, Error);
-}
-
-
 // ---------------------------------------------------------------------
 // quantizeDl16: the inline fast path, pinned bit for bit to the
 // generic codec (dlfloat16().quantize) in every rounding mode.
@@ -827,7 +772,8 @@ TEST(QuantizeFp8, ZerosSubnormalsSaturateAndSpecials)
 /**
  * A strided sweep of the whole float32 space for every flavour. The
  * stride is an odd prime; RAPID_FP8_SWEEP_STRIDE overrides it (1 is
- * the exhaustive 2^32 x 16 flavours x 3 modes sweep).
+ * the exhaustive 2^32 x 16 flavours x 3 modes sweep). Laplace samples
+ * add the weight-like values the sweep's stride skips over.
  */
 TEST(QuantizeFp8, MatchesCodecOnStridedFloat32Sweep)
 {
@@ -837,6 +783,10 @@ TEST(QuantizeFp8, MatchesCodecOnStridedFloat32Sweep)
         auto pin = fp8Pin(f);
         for (uint64_t bits = 0; bits <= 0xffffffffu; bits += stride)
             pin.add(uint32_t(bits));
+        // Plus Laplace(0.7) draws, the value mix of trained weights.
+        Rng rng(202);
+        for (int i = 0; i < 2000; ++i)
+            pin.add(std::bit_cast<uint32_t>(float(rng.laplace(0.7))));
         mismatches += pin.mismatches();
     }
     EXPECT_EQ(mismatches, 0);

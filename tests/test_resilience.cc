@@ -416,6 +416,30 @@ TEST(Checkpoint, RejectsCorruptedPayloads)
     }
 }
 
+TEST(Checkpoint, ImportRejectsMalformedRngText)
+{
+    Mlp model(smallModel());
+    const MlpState good = model.exportState();
+    const size_t pos = good.rng.rfind(' ');
+    ASSERT_NE(pos, std::string::npos);
+
+    for (const std::string &text :
+         {good.rng.substr(0, pos + 1) + "313",
+          good.rng.substr(0, good.rng.size() / 2)}) {
+        MlpState bad = good;
+        bad.rng = text;
+        bad.precision = TrainPrecision::FP16;
+        try {
+            model.importState(bad);
+            FAIL() << "malformed rng text must be rejected";
+        } catch (const Error &e) {
+            EXPECT_EQ(e.code(), ErrorCode::InvalidArgument);
+        }
+        // A rejected state leaves the model untouched.
+        EXPECT_TRUE(model.exportState() == good);
+    }
+}
+
 TEST(Checkpoint, CapturesEscalatedPrecision)
 {
     const Dataset data = spiralData();

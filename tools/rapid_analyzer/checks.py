@@ -18,7 +18,8 @@ Check catalog -- names are the waiver names for
   no-raw-thread     no std::thread/jthread/pthread_create/.detach()
                     outside src/common/parallel.*
   no-unseeded-rng   no std::random_device anywhere; no raw <random>
-                    engines outside src/common/random.*
+                    engines, nor the in-house Mt19937_64, outside
+                    src/common/random.*
   no-wallclock      no std::chrono::*_clock::now / gettimeofday /
                     clock_gettime outside src/common/parallel.* and
                     src/common/sweep.*
@@ -61,6 +62,10 @@ RNG_ENGINES = {
     "linear_congruential_engine", "mersenne_twister_engine",
     "ranlux24", "ranlux48", "ranlux24_base", "ranlux48_base",
 }
+
+# The in-house engine behind rapid::Rng. Matched by name however it is
+# qualified (rapid::, ::rapid::, a using-declaration or none at all).
+INHOUSE_RNG_ENGINES = {"Mt19937_64"}
 
 UNORDERED_CONTAINERS = {
     "unordered_map", "unordered_set",
@@ -280,7 +285,13 @@ def check_no_unseeded_rng(tf):
                "via common/random.hh (mixSeed for per-item streams) so "
                "fault injection and sweeps replay bit-identically")
     for i, t in enumerate(tf.tokens):
-        if t.kind != "ID" or not tf.qualified_by_std(i):
+        if t.kind != "ID":
+            continue
+        if t.text in INHOUSE_RNG_ENGINES:
+            if not tf.rel.startswith(RNG_ALLOWED):
+                yield _finding(tf, t.line, "no-unseeded-rng", message)
+            continue
+        if not tf.qualified_by_std(i):
             continue
         if t.text == "random_device":
             yield _finding(tf, t.line, "no-unseeded-rng", message)

@@ -16,7 +16,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from rapid_analyzer import lexer  # noqa: E402
 from rapid_analyzer.checks import (  # noqa: E402
-    TokenFile, check_dl16_quantize, check_float_eq)
+    TokenFile, check_dl16_quantize, check_float_eq, check_no_unseeded_rng)
 from rapid_analyzer.include_graph import (  # noqa: E402
     MODULE_TIERS, IncludeGraph, module_of)
 
@@ -187,6 +187,21 @@ class CheckHelpers(unittest.TestCase):
                          "y = lut->fp9().quantize(x);\n").tokens
         self.assertEqual(
             list(check_dl16_quantize(TokenFile("src/sim/x.cc", toks))), [])
+
+    def test_inhouse_engine_flagged_under_any_qualification(self):
+        toks = lexer.lex("rapid::Mt19937_64 a(1);\n"
+                         "::rapid::Mt19937_64 b(2);\n"
+                         "Mt19937_64 c(3);\n"
+                         "using E = rapid::Mt19937_64;\n").tokens
+        for rel in ("src/func/x.cc", "tests/t.cc", "bench/b.cc"):
+            findings = list(check_no_unseeded_rng(TokenFile(rel, toks)))
+            self.assertEqual([f.line for f in findings], [1, 2, 3, 4], rel)
+
+    def test_inhouse_engine_allowed_in_random(self):
+        toks = lexer.lex("class Mt19937_64 {};\n").tokens
+        for rel in ("src/common/random.hh", "src/common/random.cc"):
+            self.assertEqual(
+                list(check_no_unseeded_rng(TokenFile(rel, toks))), [], rel)
 
 
 class GraphResolver(unittest.TestCase):
