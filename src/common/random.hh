@@ -44,10 +44,9 @@ class Mt19937_64
 {
   public:
     using result_type = uint64_t;
-    static constexpr size_t state_size = 312;
-    static constexpr result_type default_seed = 5489u;
 
-    explicit Mt19937_64(result_type seed = default_seed) { x_[0] = seed; }
+    /** 5489 is std::mt19937_64's default seed. */
+    explicit Mt19937_64(result_type seed = 5489u) { x_[0] = seed; }
 
     /** Copies only the state words computed so far. */
     Mt19937_64(const Mt19937_64 &other) { *this = other; }
@@ -92,7 +91,7 @@ class Mt19937_64
     friend std::istream &operator>>(std::istream &is, Mt19937_64 &e);
 
   private:
-    static constexpr size_t kN = state_size;
+    static constexpr size_t kN = 312;
     static constexpr size_t kM = 156;
 
     static uint64_t
@@ -107,9 +106,10 @@ class Mt19937_64
     void
     extendTo(size_t n)
     {
-        for (size_t i = seeded_; i < n; ++i)
-            x_[i] = 6364136223846793005ULL * (x_[i - 1] ^ (x_[i - 1] >> 62)) +
-                    i;
+        for (size_t i = seeded_; i < n; ++i) {
+            const uint64_t prev = x_[i - 1];
+            x_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+        }
         seeded_ = uint32_t(n);
     }
 
