@@ -1,6 +1,7 @@
 #include "llm/decode_batcher.hh"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/error.hh"
@@ -10,7 +11,8 @@
 namespace rapid {
 
 DecodeBatcher::DecodeBatcher(const LlmSim &sim, DesDomain &dom)
-    : sim_(sim), dom_(dom), cfg_(sim.config()), model_(sim.model())
+    : sim_(sim), dom_(dom), cfg_(sim.config()), model_(sim.model()),
+      admission_(cfg_.admission, cfg_.ladder.size())
 {
 }
 
@@ -27,12 +29,6 @@ DecodeBatcher::bootstrap()
     result_.horizon_ns = cfg_.horizon_ns;
     result_.requests.resize(trace_.size());
     groups_.resize(cfg_.ladder.size());
-    if (cfg_.admission.enabled) {
-        result_.group_admission.resize(cfg_.ladder.size());
-        tpot_est_.assign(cfg_.ladder.size(),
-                         QueueDelayEstimator(cfg_.admission.window));
-        fuse_strikes_.assign(cfg_.ladder.size(), 0);
-    }
     if (!trace_.empty())
         dom_.schedule(trace_[0].arrival_ns, kPriArrival,
                       [this] { onArrival(); });
@@ -117,24 +113,18 @@ DecodeBatcher::routeRequest(LlmRequestRecord &rec)
 {
     const LlmTenantConfig &tenant = cfg_.tenants[rec.tenant];
     const int floor = servingQuality(tenant.min_precision);
-    const CalibratedAdmissionConfig &adm = cfg_.admission;
     for (size_t gi = 0; gi < cfg_.ladder.size(); ++gi) {
         if (servingQuality(cfg_.ladder[gi].act) < floor)
             continue;
-        // TPOT check, tiered exactly like the serve-layer router:
-        // when the group's observed-TPOT window is warm and its trust
-        // fuse intact, admit on observed p95 x margin; otherwise on
-        // the conservative full-batch step bound.
-        AdmitTier tier = AdmitTier::Bound;
-        int64_t tpot_pred;
-        if (adm.enabled && !result_.group_admission[gi].fuse_tripped &&
-            tpot_est_[gi].windowFill() >= adm.min_samples) {
-            tier = AdmitTier::Calibrated;
-            tpot_pred = int64_t(double(tpot_est_[gi].p95Ns()) *
-                                adm.safety_margin);
-        } else {
-            tpot_pred = tpotBoundNs(gi, rec);
-        }
+        // TPOT check, tiered like the serve-layer router: the
+        // group's observed p95 TPOT x margin when the admission tier
+        // vouches for it, else the conservative full-batch step bound.
+        const std::optional<int64_t> calibrated =
+            admission_.calibratedNs(gi);
+        const AdmitTier tier =
+            calibrated ? AdmitTier::Calibrated : AdmitTier::Bound;
+        const int64_t tpot_pred =
+            calibrated ? *calibrated : tpotBoundNs(gi, rec);
         if (tpot_pred > tenant.tpot_deadline_ns)
             continue;
         const int64_t ttft =
@@ -144,13 +134,6 @@ DecodeBatcher::routeRequest(LlmRequestRecord &rec)
         rec.mode = int(gi);
         rec.tier = tier;
         rec.predicted_ttft_ns = ttft;
-        if (adm.enabled) {
-            LlmGroupAdmission &ga = result_.group_admission[gi];
-            if (tier == AdmitTier::Calibrated)
-                ++ga.admitted_calibrated;
-            else
-                ++ga.admitted_bound;
-        }
         groups_[gi].waiting.push_back(rec.id);
         return true;
     }
@@ -185,20 +168,14 @@ DecodeBatcher::finishSequence(uint64_t id, int64_t t)
     rec.completion_ns = t;
     rapid_dassert(rec.generated_tokens == rec.output_tokens,
                   "sequence finished with open token accounting");
-    const CalibratedAdmissionConfig &adm = cfg_.admission;
-    if (!adm.enabled || rec.generated_tokens < 2)
+    if (rec.generated_tokens < 2)
         return; // single-token outputs have no TPOT observation
     const size_t gi = size_t(rec.mode);
     const int64_t tpot = rec.tpotNs();
-    tpot_est_[gi].record(tpot);
-    LlmGroupAdmission &ga = result_.group_admission[gi];
-    if (adm.fuse_enabled && !ga.fuse_tripped &&
-        rec.tier == AdmitTier::Calibrated &&
-        tpot > cfg_.tenants[rec.tenant].tpot_deadline_ns &&
-        ++fuse_strikes_[gi] >= adm.fuse_violations) {
-        ga.fuse_tripped = true;
-        ga.fuse_trip_ns = t;
-    }
+    admission_.observe(gi, tpot);
+    admission_.onOutcome(gi, rec.tier,
+                         tpot > cfg_.tenants[rec.tenant].tpot_deadline_ns,
+                         t);
 }
 
 void
@@ -362,6 +339,7 @@ DecodeBatcher::finish()
     if (!trace_.empty())
         end = std::max(end, trace_.back().arrival_ns);
     result_.end_ns = end;
+    result_.group_admission = admission_.fuses();
     return std::move(result_);
 }
 

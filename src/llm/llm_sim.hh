@@ -35,6 +35,7 @@
 #include "llm/llm_config.hh"
 #include "llm/llm_workload.hh"
 #include "serve/latency_table.hh"
+#include "serve/overload.hh"
 
 namespace rapid {
 
@@ -98,18 +99,9 @@ struct LlmStepRecord
     double energy_j = 0;
 };
 
-/** Per-ladder-group calibrated-admission outcome (cfg.admission). */
-struct LlmGroupAdmission
-{
-    uint64_t admitted_calibrated = 0;
-    uint64_t admitted_bound = 0;
-    /// Trust fuse: latched once a calibrated-admitted sequence
-    /// finishes past its tenant's TPOT deadline fuse_violations
-    /// times; the group then admits on the proven bound for the rest
-    /// of the run.
-    bool fuse_tripped = false;
-    int64_t fuse_trip_ns = -1;
-};
+/** Per-ladder-group trust fuse, tripped by the first calibrated TPOT
+ *  miss. */
+using LlmGroupAdmission = AdmissionFuse;
 
 /** Raw simulation outcome; llm_metrics.hh aggregates it. */
 struct LlmResult

@@ -55,10 +55,36 @@ validateCalibratedAdmissionConfig(const CalibratedAdmissionConfig &cfg)
                        "calibrated admission: safety_margin must be "
                        ">= 1, got ",
                        cfg.safety_margin);
-    RAPID_CHECK_CONFIG(cfg.fuse_violations >= 1,
-                       "calibrated admission: fuse_violations must be "
-                       ">= 1, got ",
-                       cfg.fuse_violations);
+}
+
+AdmissionTier::AdmissionTier(const CalibratedAdmissionConfig &cfg,
+                             size_t slots)
+    : cfg_(cfg)
+{
+    if (!cfg_.enabled)
+        return;
+    windows_.assign(slots, QueueDelayEstimator(cfg_.window));
+    fuses_.resize(slots);
+}
+
+std::optional<int64_t>
+AdmissionTier::calibratedNs(size_t slot) const
+{
+    if (!cfg_.enabled || fuses_[slot].fuse_tripped ||
+        windows_[slot].windowFill() < cfg_.min_samples)
+        return std::nullopt;
+    return int64_t(double(windows_[slot].p95Ns()) * cfg_.safety_margin);
+}
+
+void
+AdmissionTier::onOutcome(size_t slot, AdmitTier tier, bool violation,
+                         int64_t now)
+{
+    // A calibrated admit missed its SLA: the window can no longer be
+    // trusted on this slot, so latch it back to the proven bound.
+    if (cfg_.enabled && cfg_.fuse_enabled && violation &&
+        tier == AdmitTier::Calibrated && !fuses_[slot].fuse_tripped)
+        fuses_[slot] = {true, now};
 }
 
 void

@@ -10,14 +10,13 @@
  * Calibrated admission tier: the SLA router normally admits against a
  * *proven worst-case* bound (backlog + one batching wait + a
  * max-batch execution), which over-sheds ~20% of feasible load at the
- * multi-tenant knee. Once a queue's QueueDelayEstimator window holds
- * at least min_samples observed waits, the router may instead admit
- * on observed p95 wait x safety_margin plus one batch execution — the
- * calibrated tier. A *trust fuse* guards the shortcut: the moment a
- * calibrated-admitted request misses its SLA (fuse_violations
- * strikes), the queue latches back to the proven bound for the rest
- * of the run. Every request records which tier admitted (or which
- * reason shed) it, so the accounting
+ * multi-tenant knee. Once an AdmissionTier slot (a serve queue or an
+ * LLM ladder group) holds min_samples observations, its host may
+ * admit on observed p95 x safety_margin instead — the calibrated
+ * tier. A *trust fuse* guards the shortcut: the first calibrated
+ * admit of a slot that misses its SLA latches that slot back to the
+ * proven bound for the rest of the run. Every request records which
+ * tier admitted (or which reason shed) it, so the accounting
  * offered == admitted_calibrated + admitted_bound + shed_* closes.
  *
  * Circuit breaker (per (network, precision) queue):
@@ -51,9 +50,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "precision/precision.hh"
+#include "serve/queue_delay.hh"
 
 namespace rapid {
 
@@ -91,13 +92,48 @@ struct CalibratedAdmissionConfig
     /// Trip back to the proven bound once a calibrated admit misses
     /// its SLA (the trust fuse); latched for the rest of the run.
     bool fuse_enabled = true;
-    /// Calibrated SLA violations on one queue that trip its fuse.
-    int64_t fuse_violations = 1;
 };
 
 /** Throw InvalidConfig on non-runnable calibrated-admission knobs. */
 void validateCalibratedAdmissionConfig(
     const CalibratedAdmissionConfig &cfg);
+
+/** Trust-fuse outcome of one admission slot. */
+struct AdmissionFuse
+{
+    bool fuse_tripped = false;
+    int64_t fuse_trip_ns = -1; ///< virtual time of the trip
+};
+
+/** One scheduler's calibrated tier: per slot, an observed-delay
+ *  window and its trust fuse. The host prices its own bound. A
+ *  disabled tier holds no slots and never calibrates. */
+class AdmissionTier
+{
+  public:
+    AdmissionTier(const CalibratedAdmissionConfig &cfg, size_t slots);
+
+    /** int64_t(p95 x safety_margin) when enabled, warm and unfused;
+     *  nullopt means "admit on the bound". */
+    std::optional<int64_t> calibratedNs(size_t slot) const;
+
+    void observe(size_t slot, int64_t ns)
+    {
+        if (cfg_.enabled)
+            windows_[slot].record(ns);
+    }
+
+    /** The first calibrated violation trips the slot's fuse at @p now. */
+    void onOutcome(size_t slot, AdmitTier tier, bool violation,
+                   int64_t now);
+
+    const std::vector<AdmissionFuse> &fuses() const { return fuses_; }
+
+  private:
+    CalibratedAdmissionConfig cfg_;
+    std::vector<QueueDelayEstimator> windows_;
+    std::vector<AdmissionFuse> fuses_;
+};
 
 /** Circuit-breaker state (see file comment for the machine). */
 enum class BreakerState : uint8_t
@@ -240,14 +276,10 @@ struct OverloadConfig
 void validateOverloadConfig(const OverloadConfig &cfg);
 
 /** Per-queue overload-control outcome, reported in ServeResult. */
-struct QueueOverloadStats
+struct QueueOverloadStats : AdmissionFuse
 {
     size_t network = 0;
     Precision precision = Precision::INT4;
-    uint64_t admitted_calibrated = 0;
-    uint64_t admitted_bound = 0;
-    bool fuse_tripped = false;
-    int64_t fuse_trip_ns = -1;
     uint64_t breaker_opens = 0;
     uint64_t breaker_closes = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "common/error.hh"
@@ -36,6 +37,8 @@ ServeDomainCore::ServeDomainCore(const ServeSim &sim, DesDomain &dom)
       tenant_network_(sim.tenantNetwork()),
       max_batch_(cfg_.batcher.max_batch),
       max_wait_(cfg_.batcher.max_wait_ns),
+      admission_(sim.config().overload.admission,
+                 sim.networkNames().size() * sim.config().ladder.size()),
       brownout_(sim.config().overload.brownout,
                 int(sim.config().ladder.size()) - 1 +
                     int(brownoutShedCutoffs(sim.config()).size())),
@@ -81,12 +84,6 @@ ServeDomainCore::bootstrap()
             result_.queue_overload[qi].precision =
                 queues_[qi].precision;
         }
-    }
-    if (ov.admission.enabled) {
-        fuse_strikes_.assign(queues_.size(), 0);
-        wait_est_.reserve(queues_.size());
-        for (size_t qi = 0; qi < queues_.size(); ++qi)
-            wait_est_.emplace_back(ov.admission.window);
     }
     if (ov.breaker.enabled)
         breakers_.assign(queues_.size(), CircuitBreaker(ov.breaker));
@@ -138,21 +135,14 @@ ServeDomainCore::backlogNs(int64_t t, size_t exclude) const
     return backlog;
 }
 
-bool
-ServeDomainCore::fuseTripped(size_t qi) const
-{
-    return !result_.queue_overload.empty() &&
-           result_.queue_overload[qi].fuse_tripped;
-}
-
 /**
  * The router ladder walk shared by trace and injected arrivals:
  * pick the cheapest precision at or above the tenant floor whose
  * predicted completion fits @p deadline_ns, queue the request there,
  * and return true. Returns false (caller sheds) when no ladder entry
  * fits or a brownout shedding rung drops the tenant. The prediction
- * comes from the calibrated tier when it is enabled, warm, and
- * unfused for the queue, else from the proven worst-case bound.
+ * comes from the calibrated tier when it vouches for the queue, else
+ * from the proven worst-case bound.
  */
 bool
 ServeDomainCore::routeRequest(RequestRecord &rec, int64_t deadline_ns)
@@ -200,19 +190,16 @@ ServeDomainCore::routeRequest(RequestRecord &rec, int64_t deadline_ns)
             continue;
         AdmitTier tier = AdmitTier::Bound;
         int64_t predicted = 0;
-        if (ov.admission.enabled && !fuseTripped(qi) &&
-            wait_est_[qi].windowFill() >= ov.admission.min_samples) {
+        if (const std::optional<int64_t> wait =
+                admission_.calibratedNs(qi)) {
             // Calibrated tier: the waits requests actually saw on
-            // this queue (p95 over the history window, scaled by the
-            // safety margin) plus this request's own max-batch
-            // execution. Far tighter than the worst-case bound under
-            // steady load; the trust fuse below guards the shortcut.
+            // this queue plus this request's own max-batch execution.
+            // Far tighter than the worst-case bound under steady
+            // load; the tier's trust fuse guards the shortcut.
             tier = AdmitTier::Calibrated;
-            predicted =
-                int64_t(double(wait_est_[qi].p95Ns()) *
-                        ov.admission.safety_margin) +
-                table_->latencyNs(queues_[qi].network,
-                                  queues_[qi].precision, max_batch_);
+            predicted = *wait + table_->latencyNs(queues_[qi].network,
+                                                  queues_[qi].precision,
+                                                  max_batch_);
         } else {
             // With a single queue this is a hard upper bound on the
             // request's latency: batches ahead of it run back to back
@@ -231,13 +218,6 @@ ServeDomainCore::routeRequest(RequestRecord &rec, int64_t deadline_ns)
             const bool was_empty = q.empty();
             q.pending.push_back(rec.id);
             noteDepthChange(rec.arrival_ns, +1);
-            if (!result_.queue_overload.empty()) {
-                QueueOverloadStats &qs = result_.queue_overload[qi];
-                if (tier == AdmitTier::Calibrated)
-                    ++qs.admitted_calibrated;
-                else
-                    ++qs.admitted_bound;
-            }
             if (ov.breaker.enabled) {
                 rec.probe = breakers_[qi].onAdmit(rec.arrival_ns);
                 breakers_[qi].onDepth(rec.arrival_ns,
@@ -335,10 +315,9 @@ ServeDomainCore::launch(int qi, int64_t t)
             result_.requests[q.pending[q.head + size_t(i)]];
         rec.launch_ns = t;
         rec.completion_ns = batch.completion_ns;
-        // Feed the queue's wait estimator at launch: the wait is
-        // known here, and future admissions may use it immediately.
-        if (cfg_.overload.admission.enabled)
-            wait_est_[size_t(qi)].record(t - rec.arrival_ns);
+        // Feed the queue's wait window at launch: the wait is known
+        // here, and future admissions may use it immediately.
+        admission_.observe(size_t(qi), t - rec.arrival_ns);
     }
     q.head += size_t(size);
     if (q.empty()) {
@@ -367,9 +346,9 @@ ServeDomainCore::launch(int qi, int64_t t)
 }
 
 /**
- * SLA outcomes of a completed batch: strike the queue's trust fuse on
- * a calibrated-admitted violation and feed the circuit breaker. Runs
- * in the completion lane, before the freed executor launches again.
+ * SLA outcomes of a completed batch: feed the queue's trust fuse and
+ * circuit breaker. Runs in the completion lane, before the freed
+ * executor launches again.
  */
 void
 ServeDomainCore::onBatchOutcome(size_t qi,
@@ -379,27 +358,13 @@ ServeDomainCore::onBatchOutcome(size_t qi,
         return; // halt() already filed these requests as failed
     const int64_t now = dom_.now();
     const OverloadConfig &ov = cfg_.overload;
-    QueueOverloadStats &qs = result_.queue_overload[qi];
     for (uint64_t id : ids) {
         const RequestRecord &rec = result_.requests[id];
         const bool violation =
             rec.latencyNs() > cfg_.tenants[rec.tenant].deadline_ns;
-        if (ov.admission.enabled && ov.admission.fuse_enabled &&
-            violation && rec.tier == AdmitTier::Calibrated &&
-            !qs.fuse_tripped &&
-            ++fuse_strikes_[qi] >= ov.admission.fuse_violations) {
-            // Trust fuse: a calibrated admit missed its SLA, so the
-            // estimator can no longer be trusted on this queue; latch
-            // back to the proven bound for the rest of the run.
-            qs.fuse_tripped = true;
-            qs.fuse_trip_ns = now;
-        }
+        admission_.onOutcome(qi, rec.tier, violation, now);
         if (ov.breaker.enabled)
             breakers_[qi].onOutcome(now, violation, rec.probe);
-    }
-    if (ov.breaker.enabled) {
-        qs.breaker_opens = breakers_[qi].opens();
-        qs.breaker_closes = breakers_[qi].closes();
     }
 }
 
@@ -559,10 +524,12 @@ ServeDomainCore::setTable(const LatencyTable *table)
 ServeResult
 ServeDomainCore::finish()
 {
-    // Final overload snapshots: breaker counters (an open with no
-    // completion after it has not been synced yet) and the brownout
-    // trace settled through the end of the run.
+    // Final overload snapshots: fuse outcomes, breaker counters and
+    // the brownout trace settled through the end of the run.
     auto closeOverload = [this](int64_t end) {
+        for (size_t qi = 0; qi < admission_.fuses().size(); ++qi)
+            static_cast<AdmissionFuse &>(result_.queue_overload[qi]) =
+                admission_.fuses()[qi];
         if (cfg_.overload.breaker.enabled)
             for (size_t qi = 0; qi < breakers_.size(); ++qi) {
                 result_.queue_overload[qi].breaker_opens =

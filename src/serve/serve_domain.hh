@@ -2,8 +2,9 @@
  * @file
  * Event-driven execution core of one ServeSim on a DesDomain,
  * extracted from server_sim.cc so higher tiers (src/cluster) can host
- * the same scheduler as one chip of a fleet. The state and policy
- * helpers mirror ServeSim::runReference line for line; the serial
+ * the same scheduler as one chip of a fleet. With overload control
+ * off, the state and policy helpers mirror ServeSim::runReference
+ * line for line (runReference refuses overload scenarios); the serial
  * loop's explicit time advance is replaced by three event lanes on
  * the domain clock, ordered at one instant exactly like the serial
  * merge:
@@ -58,7 +59,6 @@
 
 #include "common/des.hh"
 #include "serve/overload.hh"
-#include "serve/queue_delay.hh"
 #include "serve/server_sim.hh"
 
 namespace rapid {
@@ -172,7 +172,6 @@ class ServeDomainCore
     void onArrival();
     void onTimeout(size_t qi, uint64_t gen);
     void onBatchOutcome(size_t qi, const std::vector<uint64_t> &ids);
-    bool fuseTripped(size_t qi) const;
 
     const ServeSim &sim_;
     DesDomain &dom_;
@@ -201,9 +200,8 @@ class ServeDomainCore
     // Overload control (all empty/inert when cfg.overload has no
     // feature enabled, so the default path stays bit-identical to
     // runReference and allocation-free).
-    std::vector<QueueDelayEstimator> wait_est_; ///< per queue
-    std::vector<int64_t> fuse_strikes_;         ///< per queue
-    std::vector<CircuitBreaker> breakers_;      ///< per queue
+    AdmissionTier admission_;              ///< one slot per queue
+    std::vector<CircuitBreaker> breakers_; ///< per queue
     BrownoutController brownout_;
     int brownout_precision_rungs_ = 0;
     /// Ascending distinct tenant priorities minus the top class: the

@@ -488,7 +488,6 @@ TEST_F(LlmTest, ValidationRejectsBadConfigs)
     reject([](LlmServeConfig &c) { c.admission.window = 0; });
     reject([](LlmServeConfig &c) { c.admission.min_samples = 0; });
     reject([](LlmServeConfig &c) { c.admission.safety_margin = 0.9; });
-    reject([](LlmServeConfig &c) { c.admission.fuse_violations = 0; });
 
     // The simulator constructor runs the same validation.
     LlmServeConfig bad = microConfig(10.0);

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/error.hh"
@@ -22,6 +23,7 @@
 #include "runtime/session.hh"
 #include "serve/latency_table.hh"
 #include "serve/metrics.hh"
+#include "serve/overload.hh"
 #include "serve/queue_delay.hh"
 #include "serve/server_sim.hh"
 #include "serve/workload.hh"
@@ -596,6 +598,95 @@ TEST_F(ServeTest, ObservedQueueWaitsSitUnderProvenBound)
 // Overload control: calibrated tier, trust fuse, brownout, breaker
 // ---------------------------------------------------------------------
 
+/** Two-slot enabled tier: warm at 4 of 8 samples, margin 1.25. */
+CalibratedAdmissionConfig
+tierConfig()
+{
+    CalibratedAdmissionConfig cfg;
+    cfg.enabled = true;
+    cfg.window = 8;
+    cfg.min_samples = 4;
+    cfg.safety_margin = 1.25;
+    return cfg;
+}
+
+/** Feed @p slot the window {7, 41, 13, 29}: nearest-rank p95 41. */
+void
+warmSlot(AdmissionTier &tier, size_t slot)
+{
+    for (int64_t ns : {7, 41, 13, 29})
+        tier.observe(slot, ns);
+}
+
+TEST(AdmissionTier, CalibratesOnceWarmAtExactlyP95TimesMargin)
+{
+    AdmissionTier tier(tierConfig(), 2);
+    for (int64_t ns : {7, 41, 13})
+        tier.observe(0, ns);
+    // min_samples - 1 observations: still on the bound.
+    EXPECT_FALSE(tier.calibratedNs(0).has_value());
+    tier.observe(0, 29);
+    // min_samples: calibrated, int64_t(41 x 1.25) truncates 51.25.
+    ASSERT_TRUE(tier.calibratedNs(0).has_value());
+    EXPECT_EQ(*tier.calibratedNs(0), 51);
+    // Slots are independent: the other window is still cold.
+    EXPECT_FALSE(tier.calibratedNs(1).has_value());
+    ASSERT_EQ(tier.fuses().size(), 2u);
+    EXPECT_FALSE(tier.fuses()[0].fuse_tripped);
+    EXPECT_EQ(tier.fuses()[0].fuse_trip_ns, -1);
+}
+
+TEST(AdmissionTier, FuseTripsOnFirstCalibratedViolationAndLatches)
+{
+    AdmissionTier tier(tierConfig(), 2);
+    warmSlot(tier, 0);
+    warmSlot(tier, 1);
+    tier.onOutcome(0, AdmitTier::Calibrated, false, 100);
+    EXPECT_FALSE(tier.fuses()[0].fuse_tripped); // met its SLA
+    tier.onOutcome(0, AdmitTier::Calibrated, true, 250);
+    EXPECT_TRUE(tier.fuses()[0].fuse_tripped);
+    EXPECT_EQ(tier.fuses()[0].fuse_trip_ns, 250);
+    EXPECT_FALSE(tier.calibratedNs(0).has_value());
+    // Latched: a later miss keeps the first stamp, and more samples
+    // never re-arm the slot.
+    tier.onOutcome(0, AdmitTier::Calibrated, true, 900);
+    EXPECT_EQ(tier.fuses()[0].fuse_trip_ns, 250);
+    warmSlot(tier, 0);
+    EXPECT_FALSE(tier.calibratedNs(0).has_value());
+    // The other slot's fuse is its own.
+    EXPECT_FALSE(tier.fuses()[1].fuse_tripped);
+    EXPECT_EQ(tier.calibratedNs(1), std::optional<int64_t>(51));
+}
+
+TEST(AdmissionTier, FuseIgnoresBoundViolationsAndADisabledFuse)
+{
+    AdmissionTier tier(tierConfig(), 1);
+    warmSlot(tier, 0);
+    tier.onOutcome(0, AdmitTier::Bound, true, 100);
+    EXPECT_FALSE(tier.fuses()[0].fuse_tripped);
+    EXPECT_TRUE(tier.calibratedNs(0).has_value());
+
+    CalibratedAdmissionConfig nofuse = tierConfig();
+    nofuse.fuse_enabled = false;
+    AdmissionTier open(nofuse, 1);
+    warmSlot(open, 0);
+    open.onOutcome(0, AdmitTier::Calibrated, true, 100);
+    EXPECT_FALSE(open.fuses()[0].fuse_tripped);
+    EXPECT_EQ(open.calibratedNs(0), std::optional<int64_t>(51));
+}
+
+TEST(AdmissionTier, DisabledTierNeverCalibrates)
+{
+    CalibratedAdmissionConfig off = tierConfig();
+    off.enabled = false;
+    AdmissionTier tier(off, 3);
+    for (int i = 0; i < 4; ++i)
+        warmSlot(tier, 2);
+    tier.onOutcome(2, AdmitTier::Calibrated, true, 100);
+    EXPECT_FALSE(tier.calibratedNs(2).has_value());
+    EXPECT_TRUE(tier.fuses().empty()); // holds no slots at all
+}
+
 /** Mini version of the bench's multi-tenant knee mix: the web load is
  *  split three ways on purpose so the proven bound's whole-chip
  *  backlog charge over-sheds while each queue's actual wait stays
@@ -955,7 +1046,6 @@ TEST_F(ServeTest, RejectsBadOverloadKnobs)
         o.admission.min_samples = o.admission.window + 1;
     });
     reject([](OverloadConfig &o) { o.admission.safety_margin = 0.5; });
-    reject([](OverloadConfig &o) { o.admission.fuse_violations = 0; });
     reject([](OverloadConfig &o) { o.breaker.depth_open = 0; });
     reject([](OverloadConfig &o) { o.breaker.violations_open = 0; });
     reject([](OverloadConfig &o) { o.breaker.open_ns = 0; });
